@@ -87,33 +87,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, op={self._op}, grad={self.requires_grad})"
 
-    # operator sugar
-    def __add__(self, other):
-        return add(self, _wrap(other))
-
-    def __radd__(self, other):
-        return add(_wrap(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _wrap(other))
-
-    def __rsub__(self, other):
-        return sub(_wrap(other), self)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def backward(self):
         """Backpropagate from this scalar through the recorded graph."""
         if self.data.size != 1:
@@ -215,17 +188,6 @@ def add(a, b):
         return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
 
     return _make(out, (a, b), backward, "add")
-
-
-def sub(a, b):
-    a, b = _wrap(a), _wrap(b)
-    _check_broadcast(a.data, b.data, "sub")
-    out = a.data - b.data
-
-    def backward(g):
-        return _unbroadcast(g, a.shape), -_unbroadcast(g, b.shape)
-
-    return _make(out, (a, b), backward, "sub")
 
 
 def mul(a, b):
@@ -343,11 +305,6 @@ def l2_normalize(a):
         return (np.where(ok, (g - y * dot) / safe, 0.0),)
 
     return _make(y, (a,), backward, "l2_normalize")
-
-
-def cosine_similarity(a, b):
-    """Row-wise cosine between matching rows of ``a`` and ``b``."""
-    return rsum(mul(l2_normalize(a), l2_normalize(b)), axis=-1)
 
 
 def rsum(a, axis=None, keepdims=False):

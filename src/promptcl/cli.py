@@ -2,14 +2,9 @@
 and the ablation sweep.
 
 Config files are flat ``key = value`` lines (``#`` comments allowed); a file
-whose first non-blank character is ``{`` is parsed as JSON instead. Keys:
-
-  scenario   num_tasks, classes_per_task, train_per_class, test_per_class,
-             kind, separation, noise, scenario_seed, feature_path
-  encoder    d, d_prime, L, heads, seq_len, tau, patch_dim
-  training   preset (name) and/or E1, E2, lambda1, lambda2, lr1, lr2,
-             M, n_replay, batch_size
-  run        seeds (comma-separated), variant, out
+whose first non-blank character is ``{`` is parsed as JSON instead. ``KEYS``
+is the one table of config keys: it drives unknown-key rejection, type checks
+and the key list that ``promptcl run --help`` prints.
 """
 from __future__ import annotations
 
@@ -17,7 +12,8 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field, replace
+import typing
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -27,27 +23,17 @@ from . import metrics as mt
 from . import optim
 from . import scenario as sc
 from . import trainer as tr
-from .encoders import EncoderConfig, build_stack, vit_forward
+from .encoders import ConfigError, EncoderConfig, build_stack, vit_forward
 from .rng import Rng
 
 DEFAULT_SEEDS = (1993, 1996, 1997)
-
-ENCODER_KEYS = ("d", "d_prime", "L", "heads", "seq_len", "tau", "patch_dim")
-SCENARIO_KEYS = ("num_tasks", "classes_per_task", "train_per_class",
-                 "test_per_class", "kind", "separation", "noise",
-                 "scenario_seed", "feature_path")
-HP_KEYS = ("E1", "E2", "lambda1", "lambda2", "lr1", "lr2", "M",
-           "n_replay", "batch_size")
-
-
-class ConfigError(ValueError):
-    pass
+DEFAULT_PRESET = "synthetic"
 
 
 def _parse_value(text: str):
     try:
         return json.loads(text)
-    except (json.JSONDecodeError, ValueError):
+    except ValueError:
         return text
 
 
@@ -58,7 +44,10 @@ def parse_config(path) -> dict:
         raw = f.read()
     stripped = raw.lstrip()
     if stripped.startswith("{"):
-        return json.loads(raw)
+        try:
+            return json.loads(raw)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path}: invalid JSON: {exc}") from None
     out = {}
     for ln, line in enumerate(raw.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
@@ -81,35 +70,108 @@ class ExperimentConfig:
     out: str = "out"
 
 
+# ---------------------------------------------------------------------------
+# the config key table
+
+
+@dataclass(frozen=True)
+class ConfigKey:
+    name: str
+    section: str     # scenario, encoder, training or run
+    type: object     # int, float, str, str | None, or tuple for the seed list
+    default: object
+    field: str       # the field it sets in its section's dataclass
+
+
+def _keys_of(section, cls, defaults=None, rename=None, skip=()):
+    """One row per field of ``cls``; defaults come from ``defaults`` when the
+    dataclass declares none."""
+    hints = typing.get_type_hints(cls)
+    return [ConfigKey((rename or {}).get(f.name, f.name), section, hints[f.name],
+                      f.default if defaults is None else getattr(defaults, f.name),
+                      f.name)
+            for f in fields(cls) if f.name not in skip]
+
+
+_ROWS = (
+    # patches and patch_dim follow the encoder unless the kind is feature-file
+    _keys_of("scenario", sc.ScenarioSpec, rename={"seed": "scenario_seed"},
+             skip=("patches", "patch_dim"))
+    + _keys_of("encoder", EncoderConfig)
+    + [ConfigKey("preset", "training", str, DEFAULT_PRESET, "preset")]
+    + _keys_of("training", tr.Hyperparams, defaults=tr.preset(DEFAULT_PRESET))
+    + _keys_of("run", ExperimentConfig, skip=("scenario", "encoder", "hp")))
+KEYS = {k.name: k for k in _ROWS}
+SECTIONS = ("scenario", "encoder", "training", "run")
+
+_TYPE_NAMES = {int: "int", float: "float", str: "str", str | None: "str or null",
+               tuple: "int list"}
+
+
+def _seeds(key: ConfigKey, value) -> tuple:
+    """An int, a list of ints, or a comma-separated string of ints."""
+    items = [s for s in value.split(",") if s.strip()] if isinstance(value, str) else value
+    items = items if isinstance(items, (list, tuple)) else [items]
+    try:
+        seeds = tuple(int(s) if isinstance(s, str) else s for s in items)
+    except ValueError:
+        seeds = None
+    if not seeds or any(type(s) is not int for s in seeds):
+        raise ConfigError(f"config key '{key.name}' must be an int or a nonempty "
+                          f"comma-separated int list, got {value!r}")
+    return seeds
+
+
+def _checked(key: ConfigKey, value):
+    """``value`` as ``key``'s type; a ConfigError naming the key otherwise.
+
+    Int keys reject bools, floats and strings; float keys accept ints.
+    """
+    if key.type is tuple:
+        return _seeds(key, value)
+    allowed = typing.get_args(key.type) or (key.type,)
+    if float in allowed and type(value) is int:
+        return float(value)
+    if type(value) not in allowed:
+        raise ConfigError(f"config key '{key.name}' must be of type "
+                          f"{_TYPE_NAMES[key.type]}, got {type(value).__name__} {value!r}")
+    return value
+
+
+def _keys_help() -> str:
+    """The key list printed by ``promptcl run --help``."""
+    lines = ["config keys: type, default (training keys default to the chosen",
+             f"preset's values; shown: {DEFAULT_PRESET})"]
+    for section in SECTIONS:
+        lines.append(f"  {section}")
+        for k in _ROWS:
+            if k.section == section:
+                default = (",".join(map(str, k.default)) if k.type is tuple
+                           else json.dumps(k.default))
+                lines.append(f"    {k.name:<17} {_TYPE_NAMES[k.type]:<12} {default}")
+    return "\n".join(lines)
+
+
 def build_experiment(cfg: dict) -> ExperimentConfig:
-    known = set(ENCODER_KEYS) | set(SCENARIO_KEYS) | set(HP_KEYS) | {
-        "preset", "seeds", "variant", "out"}
-    unknown = set(cfg) - known
+    unknown = set(cfg) - set(KEYS)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    encoder = EncoderConfig(**{k: cfg[k] for k in ENCODER_KEYS if k in cfg})
-    scen_kwargs = {k: cfg[k] for k in SCENARIO_KEYS if k in cfg}
-    scen_kwargs["seed"] = scen_kwargs.pop("scenario_seed", 0)
+    given = {s: {} for s in SECTIONS}
+    for name, value in cfg.items():
+        key = KEYS[name]
+        given[key.section][key.field] = _checked(key, value)
+    encoder = EncoderConfig(**given["encoder"])
+    scen_kwargs = given["scenario"]
     # raw inputs are sized for the encoder so samples run the full vision path
     if scen_kwargs.get("kind") != "feature-file":
         scen_kwargs["patches"] = encoder.patches
         scen_kwargs["patch_dim"] = encoder.patch_dim
     scenario = sc.ScenarioSpec(**scen_kwargs)
-    hp = tr.preset(cfg.get("preset", "synthetic"))
-    overrides = {k: cfg[k] for k in HP_KEYS if k in cfg}
-    if overrides:
-        hp = replace(hp, **overrides)
-    seeds = cfg.get("seeds", list(DEFAULT_SEEDS))
-    if isinstance(seeds, str):
-        seeds = [int(s) for s in seeds.split(",") if s.strip()]
-    if isinstance(seeds, int):
-        seeds = [seeds]
-    if not seeds:
-        raise ConfigError("seeds must be nonempty")
-    variant = tr.check_variant(cfg.get("variant"))
-    return ExperimentConfig(scenario=scenario, encoder=encoder, hp=hp,
-                            seeds=tuple(int(s) for s in seeds),
-                            variant=variant, out=cfg.get("out", "out"))
+    hp_kwargs = given["training"]
+    hp = replace(tr.preset(hp_kwargs.pop("preset", DEFAULT_PRESET)), **hp_kwargs)
+    run = given["run"]
+    run["variant"] = tr.check_variant(run.get("variant"))
+    return ExperimentConfig(scenario=scenario, encoder=encoder, hp=hp, **run)
 
 
 @dataclass
@@ -250,17 +312,21 @@ def gradcheck_suite(n_graphs: int = 100, verbose: bool = False):
 # subcommands
 
 
-def _cmd_run(args) -> int:
+def _load_experiment(args) -> ExperimentConfig:
+    """The config file with the subcommand's override flags applied; flags a
+    subcommand does not define are skipped."""
     cfg = parse_config(args.config)
     if args.seed is not None:
         cfg["seeds"] = [args.seed]
-    if args.out:
-        cfg["out"] = args.out
-    if args.variant:
-        cfg["variant"] = args.variant
-    if args.preset:
-        cfg["preset"] = args.preset
-    config = build_experiment(cfg)
+    for flag in ("out", "variant", "preset"):
+        value = getattr(args, flag, None)
+        if value:
+            cfg[flag] = value
+    return build_experiment(cfg)
+
+
+def _cmd_run(args) -> int:
+    config = _load_experiment(args)
     report = run_experiment(config, checkpoint_last=args.checkpoint)
     ff = "" if report.ff_mean is None else f"  FF {report.ff_mean:.4f} ± {report.ff_std:.4f}"
     print(f"[{report.variant or 'full'}] FAA {report.faa_mean:.4f} ± {report.faa_std:.4f}{ff}")
@@ -270,14 +336,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_ablate(args) -> int:
-    cfg = parse_config(args.config)
-    if args.seed is not None:
-        cfg["seeds"] = [args.seed]
-    if args.out:
-        cfg["out"] = args.out
-    if args.preset:
-        cfg["preset"] = args.preset
-    base = build_experiment(cfg)
+    base = _load_experiment(args)
     rows = []
     for variant in (None,) + tr.VARIANTS:
         name = variant or "full"
@@ -356,7 +415,9 @@ def main(argv=None) -> int:
         description="Continual prompt-learning experiments on frozen mini-transformers.")
     sub = parser.add_subparsers(dest="command")
 
-    p_run = sub.add_parser("run", help="run a full multi-seed experiment")
+    p_run = sub.add_parser("run", help="run a full multi-seed experiment",
+                           epilog=_keys_help(),
+                           formatter_class=argparse.RawDescriptionHelpFormatter)
     p_run.add_argument("config")
     p_run.add_argument("--seed", type=int, default=None)
     p_run.add_argument("--out", default=None)

@@ -47,11 +47,6 @@ class EncoderConfig:
         return self.seq_len - 1
 
     @property
-    def raw_dim(self) -> int:
-        """Flattened raw-input dimensionality of one sample."""
-        return self.patches * self.patch_dim
-
-    @property
     def clip_heads(self) -> int:
         for h in (self.heads, 4, 2, 1):
             if self.d % h == 0:
@@ -110,7 +105,7 @@ class FrozenStack:
     main_patch: np.ndarray = None
     main_pos: np.ndarray = None
     main_cls: np.ndarray = None
-    lift: np.ndarray = None  # d -> raw_dim, for ingesting precomputed features
+    lift: np.ndarray = None  # d -> patches*patch_dim, for ingesting precomputed features
 
     def all_arrays(self):
         for group in (self.text_blocks, self.vis_blocks, self.main_blocks):
@@ -259,7 +254,7 @@ def lift_features(stack: FrozenStack, z) -> np.ndarray:
 
 
 def vit_forward(stack: FrozenStack, x=None, residuals=None, tokens=None,
-                prefix=None, cls_only_residual=False):
+                prefix=None):
     """Run the main transformer and return the CLS output of the last block.
 
     ``residuals``: Tensor (L, d') for one sample or (b, L, d') for a batch;
@@ -300,12 +295,7 @@ def vit_forward(stack: FrozenStack, x=None, residuals=None, tokens=None,
         res_l = None
         pre_l = None
         if residuals is not None:
-            r = ad.slice_axis(residuals, 1, l, l + 1)  # (b, 1, d') broadcasts over tokens
-            if cls_only_residual:
-                pad = ad.constant(np.zeros((b, cfg.seq_len - 1, cfg.d_prime),
-                                           dtype=ad.default_dtype()))
-                r = ad.concat([r, pad], axis=1)
-            res_l = r
+            res_l = ad.slice_axis(residuals, 1, l, l + 1)  # (b, 1, d') broadcasts over tokens
         if prefix is not None:
             layer = ad.slice_axis(prefix, 1, l, l + 1)
             n2 = layer.shape[2]

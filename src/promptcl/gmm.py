@@ -1,8 +1,7 @@
 """Per-class Mixture-of-Gaussians feature models: EM fitting and sampling.
 
-Covariances are diagonal by default (full matrices behind ``full_cov``). All
-EM statistics are accumulated in float64; fits are deterministic under a fixed
-sample order and seed.
+Covariances are diagonal. All EM statistics are accumulated in float64; fits
+are deterministic under a fixed sample order and seed.
 """
 from __future__ import annotations
 
@@ -11,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import logsumexp
 
-from .featureio import read_archive, write_archive
+from .featureio import FormatError, read_archive, write_archive
 from .rng import Rng
 
 MOG_MAGIC = b"STARMOGB"
@@ -28,7 +27,6 @@ class EMConfig:
     tol: float = 1e-4          # relative log-likelihood gain
     var_floor: float = 1e-6
     seed: int = 0
-    full_cov: bool = False
 
     def __post_init__(self):
         if self.m < 1:
@@ -41,8 +39,7 @@ class EMConfig:
 class MoG:
     weights: np.ndarray            # (M,), simplex
     means: np.ndarray              # (M, D)
-    covs: np.ndarray               # diag: (M, D); full: (M, D, D)
-    full_cov: bool = False
+    covs: np.ndarray               # (M, D) per-component variances
     ll_history: list = field(default_factory=list)
 
     @property
@@ -58,19 +55,10 @@ def _component_log_density(mog: MoG, x: np.ndarray) -> np.ndarray:
     """(N, M) log N(x; mu_m, Sigma_m)."""
     n, d = x.shape
     out = np.empty((n, mog.m))
-    if mog.full_cov:
-        for m in range(mog.m):
-            diff = x - mog.means[m]
-            chol = np.linalg.cholesky(mog.covs[m])
-            y = np.linalg.solve(chol, diff.T).T
-            maha = np.sum(y * y, axis=1)
-            logdet = 2.0 * np.sum(np.log(np.diag(chol)))
-            out[:, m] = -0.5 * (d * np.log(2 * np.pi) + logdet + maha)
-    else:
-        for m in range(mog.m):
-            var = mog.covs[m]
-            diff2 = (x - mog.means[m]) ** 2 / var
-            out[:, m] = -0.5 * (d * np.log(2 * np.pi) + np.sum(np.log(var)) + diff2.sum(axis=1))
+    for m in range(mog.m):
+        var = mog.covs[m]
+        diff2 = (x - mog.means[m]) ** 2 / var
+        out[:, m] = -0.5 * (d * np.log(2 * np.pi) + np.sum(np.log(var)) + diff2.sum(axis=1))
     return out
 
 
@@ -103,19 +91,16 @@ def fit_em(samples, cfg: EMConfig) -> MoG:
         raise FitError(f"need a nonempty 2-D sample array, got shape {x.shape}")
     if not np.all(np.isfinite(x)):
         raise FitError("non-finite sample encountered")
-    n, d = x.shape
+    n = x.shape[0]
     m = min(cfg.m, n)
     floor = cfg.var_floor
 
     global_var = np.maximum(x.var(axis=0), floor)
     seeds = _farthest_point_seeds(x, m, cfg.seed)
     means = x[seeds].copy()
-    if cfg.full_cov:
-        covs = np.tile(np.diag(global_var), (m, 1, 1))
-    else:
-        covs = np.tile(global_var, (m, 1))
+    covs = np.tile(global_var, (m, 1))
     weights = np.full(m, 1.0 / m)
-    mog = MoG(weights=weights, means=means, covs=covs, full_cov=cfg.full_cov)
+    mog = MoG(weights=weights, means=means, covs=covs)
 
     history = []
     prev = -np.inf
@@ -133,22 +118,14 @@ def fit_em(samples, cfg: EMConfig) -> MoG:
                 # degenerate component: re-seed at the farthest sample
                 far = int(np.argmax(-norm[:, 0]))
                 mog.means[k] = x[far]
-                if cfg.full_cov:
-                    mog.covs[k] = np.diag(global_var)
-                else:
-                    mog.covs[k] = global_var
+                mog.covs[k] = global_var
                 nk[k] = 1e-12
                 continue
             w = resp[:, k]
             mu = (w[:, None] * x).sum(axis=0) / nk[k]
             diff = x - mu
-            if cfg.full_cov:
-                cov = (w[:, None, None] * (diff[:, :, None] * diff[:, None, :])).sum(axis=0) / nk[k]
-                cov[np.diag_indices(d)] = np.maximum(np.diag(cov), floor)
-                mog.covs[k] = cov
-            else:
-                var = (w[:, None] * diff * diff).sum(axis=0) / nk[k]
-                mog.covs[k] = np.maximum(var, floor)
+            var = (w[:, None] * diff * diff).sum(axis=0) / nk[k]
+            mog.covs[k] = np.maximum(var, floor)
             mog.means[k] = mu
         mog.weights = nk / nk.sum()
 
@@ -161,12 +138,6 @@ def fit_em(samples, cfg: EMConfig) -> MoG:
     return mog
 
 
-def responsibilities(mog: MoG, samples) -> np.ndarray:
-    x = np.asarray(samples, dtype=np.float64)
-    comp = _component_log_density(mog, x) + np.log(mog.weights)
-    return np.exp(comp - logsumexp(comp, axis=1, keepdims=True))
-
-
 def sample(mog: MoG, n: int, rng: Rng) -> np.ndarray:
     """Draw n feature vectors: phi-categorical component, then Gaussian draw."""
     if n < 1:
@@ -175,11 +146,7 @@ def sample(mog: MoG, n: int, rng: Rng) -> np.ndarray:
     out = np.empty((n, mog.dim))
     eps = rng.normal((n, mog.dim), dtype=np.float64)
     for i, k in enumerate(comps):
-        if mog.full_cov:
-            chol = np.linalg.cholesky(mog.covs[k])
-            out[i] = mog.means[k] + chol @ eps[i]
-        else:
-            out[i] = mog.means[k] + np.sqrt(mog.covs[k]) * eps[i]
+        out[i] = mog.means[k] + np.sqrt(mog.covs[k]) * eps[i]
     return out.astype(np.float32)
 
 
@@ -195,17 +162,20 @@ def save_bank(path, bank: dict) -> None:
         arrays[f"w{cid}"] = mog.weights
         arrays[f"mu{cid}"] = mog.means
         arrays[f"cov{cid}"] = mog.covs
-        arrays[f"full{cid}"] = np.array([int(mog.full_cov)], dtype=np.int64)
     write_archive(path, MOG_MAGIC, arrays)
 
 
 def load_bank(path) -> dict:
+    """Read a bank written by ``save_bank``; other entries are ignored."""
     arrays = read_archive(path, MOG_MAGIC)
     bank = {}
     for cid in arrays["class_ids"]:
         cid = int(cid)
-        bank[cid] = MoG(weights=arrays[f"w{cid}"].astype(np.float64),
-                        means=arrays[f"mu{cid}"].astype(np.float64),
-                        covs=arrays[f"cov{cid}"].astype(np.float64),
-                        full_cov=bool(arrays[f"full{cid}"][0]))
+        w, mu, cov = arrays[f"w{cid}"], arrays[f"mu{cid}"], arrays[f"cov{cid}"]
+        if w.ndim != 1 or mu.ndim != 2 or mu.shape[0] != w.shape[0] or cov.shape != mu.shape:
+            raise FormatError(
+                f"{path}: class {cid} mixture shapes weights {w.shape}, means "
+                f"{mu.shape}, covs {cov.shape}; expected (M,), (M, D), (M, D)")
+        bank[cid] = MoG(weights=w.astype(np.float64), means=mu.astype(np.float64),
+                        covs=cov.astype(np.float64))
     return bank

@@ -81,37 +81,20 @@ def ce_stage2(head_w, head_b, cls_features, label_idx) -> ad.Tensor:
     return _nll(ad.log_softmax(head_logits(head_w, head_b, feats)), label_idx)
 
 
-def _pair_penalty(cur, past, raw: bool) -> ad.Tensor:
+def ortho_first(current_prompts, past_prompts) -> ad.Tensor:
+    """Sum over current x past pairs of |⟨p̂_{c'}, p̂_c⟩| (normalized prompts)."""
+    if not past_prompts or not current_prompts:
+        return ad.constant(0.0)
     total = None
-    for q in cur:
+    for q in current_prompts:
         qn = ad.l2_normalize(q)
-        for pv in past:
-            pn = ad.l2_normalize(ad.constant(pv))
-            term = ad.dot(qn, pn)
-            if not raw:
-                term = ad.absolute(term)
+        for pv in past_prompts:
+            term = ad.absolute(ad.dot(qn, ad.l2_normalize(ad.constant(pv))))
             total = term if total is None else ad.add(total, term)
     return total
 
 
-def ortho_first(current_prompts, past_prompts, raw: bool = False) -> ad.Tensor:
-    """Sum over current x past pairs of |⟨p̂_{c'}, p̂_c⟩| (normalized prompts).
-
-    ``raw=True`` switches to the unnormalized signed inner-product sum.
-    """
-    if not past_prompts or not current_prompts:
-        return ad.constant(0.0)
-    if raw:
-        total = None
-        for q in current_prompts:
-            for pv in past_prompts:
-                term = ad.dot(q, ad.constant(pv))
-                total = term if total is None else ad.add(total, term)
-        return total
-    return _pair_penalty(current_prompts, past_prompts, raw=False)
-
-
-def ortho_second(current_qs, past_qs, raw: bool = False) -> ad.Tensor:
+def ortho_second(current_qs, past_qs) -> ad.Tensor:
     """Per-layer average of the pairwise penalty over second-level prompts."""
     if not past_qs or not current_qs:
         return ad.constant(0.0)
@@ -119,12 +102,9 @@ def ortho_second(current_qs, past_qs, raw: bool = False) -> ad.Tensor:
     total = None
     for q in current_qs:
         for pv in past_qs:
-            if raw:
-                term = ad.rsum(ad.mul(q, ad.constant(pv)))
-            else:
-                qn = ad.l2_normalize(ad.reshape(q, (L, -1)))
-                pn = ad.l2_normalize(ad.constant(pv.reshape(L, -1)))
-                term = ad.rsum(ad.absolute(ad.rsum(ad.mul(qn, pn), axis=-1)))
+            qn = ad.l2_normalize(ad.reshape(q, (L, -1)))
+            pn = ad.l2_normalize(ad.constant(pv.reshape(L, -1)))
+            term = ad.rsum(ad.absolute(ad.rsum(ad.mul(qn, pn), axis=-1)))
             total = term if total is None else ad.add(total, term)
     return ad.scale(total, 1.0 / L)
 

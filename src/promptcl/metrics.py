@@ -93,18 +93,6 @@ def matrix_rows(matrix: AccuracyMatrix):
     return rows
 
 
-def read_matrix_csv(path) -> AccuracyMatrix:
-    with open(path, newline="") as f:
-        rows = list(csv.reader(f))[1:]
-    out = AccuracyMatrix(len(rows))
-    for row in rows:
-        t = int(row[0])
-        for j, cell in enumerate(row[1:]):
-            if cell != "":
-                out.record(t, j, float(cell))
-    return out
-
-
 def report(out_dir, per_seed, confusions=None, extras=None):
     """Write per-seed accuracy matrices, confusion CSVs, and a JSON summary.
 

@@ -68,10 +68,6 @@ class PrototypeKeys:
     def class_ids(self):
         return sorted(self.keys)
 
-    def matrix(self, class_ids=None) -> np.ndarray:
-        ids = self.class_ids() if class_ids is None else list(class_ids)
-        return np.stack([self.keys[c] for c in ids])
-
 
 def compute_keys(books: Codebooks, stack: FrozenStack, class_embeds: dict) -> PrototypeKeys:
     """Recompute every class key from its (frozen or trainable) prompt."""
@@ -94,70 +90,43 @@ def key_tensor(books: Codebooks, stack: FrozenStack, class_embeds: dict, cid: in
 class Selection:
     class_id: int
     sim: float
-    sims: np.ndarray      # over class_ids, ascending order
-    class_ids: list
+    sims: np.ndarray      # over the key class ids, ascending order
 
 
-def select(keys: PrototypeKeys, z, A: dict | None = None, mode: str = "weighted",
-           normalized: bool = True) -> Selection:
+def select(keys: PrototypeKeys, z, A: dict | None = None) -> Selection:
     """Pick the class whose prototype key best matches the visual query.
 
-    Weighted mode reweights the query per class (z * A_c) and, by default,
-    re-normalizes it so the similarity stays a bounded cosine. Exact ties go
-    to the lowest class index.
+    The query is reweighted per class (z * A_c) and re-normalized so the
+    similarity stays a bounded cosine. Exact ties go to the lowest class index.
     """
     ids = keys.class_ids()
     if not ids:
         raise CodebookError("select: empty key set")
-    if mode not in ("weighted", "unweighted"):
-        raise CodebookError(f"select: unknown mode '{mode}'")
     z = np.asarray(z, dtype=np.float32)
     sims = np.empty(len(ids), np.float32)
     for i, cid in enumerate(ids):
-        w = keys.keys[cid]
-        if mode == "weighted":
-            q = z * (A[cid] if A is not None else 1.0)
-            if normalized:
-                n = np.linalg.norm(q)
-                q = q / n if n >= 1e-8 else q * 0.0
-            sims[i] = q @ w
-        else:
-            sims[i] = z @ w
+        q = z * (A[cid] if A is not None else 1.0)
+        n = np.linalg.norm(q)
+        q = q / n if n >= 1e-8 else q * 0.0
+        sims[i] = q @ keys.keys[cid]
     best = int(np.argmax(sims))  # argmax returns the first (lowest-id) maximum
-    return Selection(class_id=ids[best], sim=float(sims[best]), sims=sims, class_ids=ids)
+    return Selection(class_id=ids[best], sim=float(sims[best]), sims=sims)
 
 
-def weighted_similarity(z, A, w, normalized: bool = True) -> ad.Tensor:
+def weighted_similarity(z, A, w) -> ad.Tensor:
     """Differentiable ⟨normalize(z ⊙ A), w⟩ used to rebuild the selected
     class's similarity inside a training graph (gradient reaches A)."""
     z = z if isinstance(z, ad.Tensor) else ad.constant(z)
     w = w if isinstance(w, ad.Tensor) else ad.constant(w)
-    q = ad.mul(z, A)
-    if normalized:
-        q = ad.l2_normalize(q)
-    return ad.dot(q, w)
+    return ad.dot(ad.l2_normalize(ad.mul(z, A)), w)
 
 
-def build_residual(Q, sim, no_confidence_modulation: bool = False) -> ad.Tensor:
-    """Per-layer residual: sim * Q[l] (or Q[l] alone in the ablation)."""
+def build_residual(Q, sim) -> ad.Tensor:
+    """Per-layer residual: sim * Q[l]."""
     Q = Q if isinstance(Q, ad.Tensor) else ad.constant(Q)
-    if no_confidence_modulation:
-        return Q
     if isinstance(sim, ad.Tensor):
         return ad.mul(Q, sim)
     return ad.scale(Q, float(sim))
-
-
-def prefix_tuning_condition(books: Codebooks, sel: Selection, Q_tensor=None) -> ad.Tensor:
-    """Per-layer key/value prompt tokens for the selected class, shape
-    (L, 2*n_tok, d'): the first n_tok rows per layer prepend to attention
-    keys, the rest to values."""
-    if not books.prefix_tokens:
-        raise CodebookError("prefix-tuning conditioning is not enabled for this codebook")
-    if sel.class_id not in books.Q:
-        raise CodebookError(f"unknown class {sel.class_id}")
-    Q = Q_tensor if Q_tensor is not None else ad.constant(books.Q[sel.class_id])
-    return Q
 
 
 # ---------------------------------------------------------------------------

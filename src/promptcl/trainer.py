@@ -78,12 +78,7 @@ def preset(name: str) -> Hyperparams:
 
 
 def check_variant(variant) -> str | None:
-    """Accept a single variant name, None, or a flag dict with at most one set."""
-    if isinstance(variant, dict):
-        on = [k for k, v in variant.items() if v]
-        if len(on) > 1:
-            raise TrainerError(f"conflicting variant flags: {sorted(on)}")
-        variant = on[0] if on else None
+    """Accept a single variant name or None."""
     if variant is not None and variant not in VARIANTS:
         raise TrainerError(f"unknown variant '{variant}'")
     return variant
@@ -219,11 +214,8 @@ def _conditioned_cls(state: TrainerState, tokens, selections, q_tensors=None,
         q = (q_tensors or {}).get(cid, None)
         if q is None:
             q = ad.constant(books.Q[cid])
-        if books.prefix_tokens:
-            per_sample.append(pr.prefix_tuning_condition(books, sel, q))
-            continue
-        if state.variant == "no_conf_mod":
-            per_sample.append(pr.build_residual(q, 1.0, no_confidence_modulation=True))
+        if books.prefix_tokens or state.variant == "no_conf_mod":
+            per_sample.append(q)
             continue
         a = (a_tensors or {}).get(cid, None)
         if a is not None and z_batch is not None:
@@ -378,11 +370,6 @@ def predict_batch(state: TrainerState, x):
     all_cids = state.heads.all_classes()
     preds = [all_cids[int(i)] for i in np.argmax(logits, axis=1)]
     return preds, logits, chosen
-
-
-def predict(state: TrainerState, x):
-    preds, logits, _ = predict_batch(state, np.asarray(x, np.float32)[None])
-    return preds[0], logits[0]
 
 
 def evaluate(state: TrainerState, task: Task) -> float:

@@ -1,11 +1,15 @@
 import csv
 import json
 import os
+import re
 
 import numpy as np
 import pytest
 
 from promptcl import cli
+from promptcl import trainer as tr
+
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 SMALL_CFG = """
 # desk-scale smoke config
@@ -72,6 +76,50 @@ def test_build_experiment_defaults_and_overrides():
     assert config.hp.E1 == 3
     assert config.seeds == (1993, 1996, 1997)
     assert config.scenario.patches == config.encoder.patches
+
+
+@pytest.mark.parametrize("name, text", [
+    ("exp.cfg", "E1 = 2.5"),
+    ("exp.cfg", 'E1 = "x"'),
+    ("exp.cfg", "E1 = true"),
+    ("exp.cfg", "seeds = a,b"),
+    ("exp.cfg", "seeds = true"),
+    ("exp.json", '{"variant": {"no_replay": true}}'),
+])
+def test_build_experiment_type_checks_name_the_key(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    key = re.search(r"\w+", text).group()
+    with pytest.raises(cli.ConfigError, match=f"'{key}'"):
+        cli.build_experiment(cli.parse_config(str(path)))
+
+
+def test_float_keys_accept_ints():
+    config = cli.build_experiment({"tau": 1, "separation": 2, "lr1": 1})
+    assert type(config.encoder.tau) is float and config.encoder.tau == 1.0
+    assert type(config.scenario.separation) is float
+    assert type(config.hp.lr1) is float
+
+
+@pytest.mark.parametrize("text", ["d_prime = 65", "tau = 0", '{"num_tasks": 1,'])
+def test_run_bad_config_prints_error(tmp_path, capsys, text):
+    path = tmp_path / "bad.cfg"
+    path.write_text(text)
+    assert cli.main(["run", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_every_key_in_readme_and_help(capsys):
+    with open(README) as f:
+        readme = f.read()
+    key_list = readme[readme.index(" Keys:"):readme.index("Example:")]
+    assert cli.main(["run", "--help"]) == 0
+    help_text = capsys.readouterr().out
+    for name in cli.KEYS:
+        assert f"`{name}`" in key_list, name
+        assert re.search(rf"^ +{name} ", help_text, re.M), name
+    for name in tr.PRESETS:
+        assert f"`{name}`" in key_list, name
 
 
 def test_unknown_subcommand_nonzero():

@@ -70,14 +70,6 @@ def test_em_loglik_monotone_on_random_datasets():
         assert np.all(np.diff(h) >= -1e-9), f"trial {trial}: {h}"
 
 
-def test_responsibilities_sum_to_one():
-    rng = Rng(4)
-    x = rng.normal((50, 4)).astype(np.float64)
-    mog = gmm.fit_em(x, gmm.EMConfig(m=3, seed=2))
-    r = gmm.responsibilities(mog, x)
-    np.testing.assert_allclose(r.sum(axis=1), np.ones(50), atol=1e-8)
-
-
 def test_fit_deterministic():
     rng = Rng(5)
     x = rng.normal((80, 5)).astype(np.float64)
@@ -121,17 +113,6 @@ def test_zero_weight_component_never_drawn():
     assert np.max(np.abs(s)) < 10.0
 
 
-def test_full_covariance_mode():
-    rng = Rng(10)
-    base = rng.normal((300, 2), dtype=np.float64)
-    x = base @ np.array([[1.0, 0.8], [0.0, 0.5]])
-    mog = gmm.fit_em(x, gmm.EMConfig(m=1, seed=0, full_cov=True))
-    emp = np.cov(x.T, bias=True)
-    np.testing.assert_allclose(mog.covs[0], emp, atol=1e-6)
-    s = gmm.sample(mog, 20_000, Rng(11))
-    np.testing.assert_allclose(np.cov(s.T, bias=True), emp, atol=0.1)
-
-
 def test_bank_round_trip(tmp_path):
     rng = Rng(12)
     bank = {c: gmm.fit_em(rng.normal((30, 4)).astype(np.float64), gmm.EMConfig(m=2, seed=c))
@@ -142,3 +123,21 @@ def test_bank_round_trip(tmp_path):
     assert set(back) == {0, 3}
     np.testing.assert_allclose(back[0].means, bank[0].means, atol=1e-6)
     np.testing.assert_allclose(back[3].weights, bank[3].weights, atol=1e-7)
+
+
+def test_load_bank_checks_shapes(tmp_path):
+    from promptcl.featureio import FormatError, write_archive
+
+    m, d = 2, 3
+    arrays = {"class_ids": np.array([0], np.int64), "w0": np.full(m, 0.5),
+              "mu0": np.zeros((m, d)), "cov0": np.ones((m, d)),
+              "full0": np.array([0], np.int64)}  # flag stored by older banks
+    path = tmp_path / "bank.bin"
+    write_archive(path, gmm.MOG_MAGIC, arrays)
+    assert gmm.load_bank(path)[0].covs.shape == (m, d)
+    for bad in ({"cov0": np.tile(np.eye(d), (m, 1, 1))},   # full covariances
+                {"w0": np.full(m + 1, 1.0 / (m + 1))},
+                {"mu0": np.zeros(m)}):
+        write_archive(path, gmm.MOG_MAGIC, {**arrays, **bad})
+        with pytest.raises(FormatError, match="class 0 mixture shapes"):
+            gmm.load_bank(path)

@@ -84,12 +84,6 @@ def test_ortho_first_cases():
     assert cur[0].grad is not None
 
 
-def test_ortho_first_raw_mode_signed():
-    cur = [ad.Tensor([-0.6, 0.8])]
-    past = [np.array([1.0, 0.0], np.float32)]
-    assert abs(ls.ortho_first(cur, past, raw=True).item() + 0.6) < 1e-6
-
-
 def test_ortho_second_cases():
     L, dp = 2, 4
     zero_q = [ad.Tensor(np.zeros((L, dp), np.float32), requires_grad=True)]

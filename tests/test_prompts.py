@@ -120,8 +120,6 @@ def test_build_residual_values():
     np.testing.assert_allclose(pr.build_residual(q, 1.0).data, q)
     q[0] = [2.0, -4.0, 6.0]
     np.testing.assert_allclose(pr.build_residual(q, 0.5).data[0], [1.0, -2.0, 3.0])
-    # ablation: no confidence modulation
-    np.testing.assert_allclose(pr.build_residual(q, 0.0, no_confidence_modulation=True).data, q)
 
 
 def test_residual_grads_reach_q_and_sim():
@@ -148,14 +146,6 @@ def test_prefix_mode_shapes_and_errors():
     books = make_books(prefix_tokens=5)
     pr.extend_codebooks(books, [0], Rng(1), task_id=0)
     assert books.Q[0].shape == (2, 10, 16)  # 5 key + 5 value tokens per layer
-    sel = pr.Selection(class_id=0, sim=1.0, sims=np.ones(1, np.float32), class_ids=[0])
-    tokens = pr.prefix_tuning_condition(books, sel)
-    assert tokens.shape == (2, 10, 16)
-
-    plain = make_books(prefix_tokens=0)
-    pr.extend_codebooks(plain, [0], Rng(1), task_id=0)
-    with pytest.raises(pr.CodebookError):
-        pr.prefix_tuning_condition(plain, sel)
 
     single = make_books(prefix_tokens=1)
     pr.extend_codebooks(single, [0], Rng(1), task_id=0)

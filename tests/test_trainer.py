@@ -58,9 +58,6 @@ def test_hyperparams_validation():
 def test_variant_validation():
     assert tr.check_variant(None) is None
     assert tr.check_variant("no_replay") == "no_replay"
-    assert tr.check_variant({"no_replay": False, "unimodal": True}) == "unimodal"
-    with pytest.raises(tr.TrainerError):
-        tr.check_variant({"no_replay": True, "unimodal": True})
     with pytest.raises(tr.TrainerError):
         tr.check_variant("turbo")
 
