@@ -45,7 +45,7 @@ def use_dtype(dtype):
 
 
 def _ensure_finite(arr, op):
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NonFiniteError(f"non-finite values produced by op '{op}'")
 
 
@@ -185,7 +185,8 @@ def add(a, b):
     out = a.data + b.data
 
     def backward(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        return (_unbroadcast(g, a.shape) if a.requires_grad else None,
+                _unbroadcast(g, b.shape) if b.requires_grad else None)
 
     return _make(out, (a, b), backward, "add")
 
@@ -196,7 +197,8 @@ def mul(a, b):
     out = a.data * b.data
 
     def backward(g):
-        return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
+        return (_unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
+                _unbroadcast(g * a.data, b.shape) if b.requires_grad else None)
 
     return _make(out, (a, b), backward, "mul")
 
@@ -219,14 +221,19 @@ def matmul(a, b):
     out = np.matmul(a.data, b.data)
 
     def backward(g):
-        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        if a.ndim == 1:
-            ga = ga.reshape(a.shape) if ga.ndim == 1 else _unbroadcast(ga, (1,) + a.shape)[0]
-            gb = np.outer(a.data, g if g.ndim == 1 else g.reshape(-1))
-        else:
-            ga = _unbroadcast(ga, a.shape)
-            gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-        return ga, _unbroadcast(gb, b.shape)
+        ga = gb = None
+        if a.requires_grad:
+            ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
+            if a.ndim == 1:
+                ga = ga.reshape(a.shape) if ga.ndim == 1 else _unbroadcast(ga, (1,) + a.shape)[0]
+            else:
+                ga = _unbroadcast(ga, a.shape)
+        if b.requires_grad:
+            if a.ndim == 1:
+                gb = np.outer(a.data, g if g.ndim == 1 else g.reshape(-1))
+            else:
+                gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape)
+        return ga, gb
 
     return _make(out, (a, b), backward, "matmul")
 
@@ -381,15 +388,20 @@ def stack(tensors, axis=0):
     return _make(out, tuple(tensors), backward, "stack")
 
 
-def transpose_last2(a):
-    if a.ndim < 2:
-        raise ShapeError(f"transpose_last2: rank {a.ndim} < 2")
-    out = np.swapaxes(a.data, -1, -2)
+def swapaxes(a, ax1, ax2):
+    """Exchange two axes (a contiguous copy, so later matmuls see C order)."""
+    if not (-a.ndim <= ax1 < a.ndim and -a.ndim <= ax2 < a.ndim):
+        raise ShapeError(f"swapaxes: axes ({ax1}, {ax2}) out of range for rank {a.ndim}")
+    out = np.swapaxes(a.data, ax1, ax2)
 
     def backward(g):
-        return (np.swapaxes(g, -1, -2),)
+        return (np.swapaxes(g, ax1, ax2),)
 
     return _make(out.copy(), (a,), backward, "transpose")
+
+
+def transpose_last2(a):
+    return swapaxes(a, -1, -2)
 
 
 def reshape(a, shape):
@@ -399,6 +411,19 @@ def reshape(a, shape):
         return (g.reshape(a.shape),)
 
     return _make(out.copy(), (a,), backward, "reshape")
+
+
+def take(a, idx):
+    """Gather rows along axis 0; repeated rows sum their gradients."""
+    idx = np.asarray(idx, dtype=np.intp)
+    out = a.data[idx]
+
+    def backward(g):
+        full = np.zeros_like(a.data)
+        np.add.at(full, idx, g)
+        return (full,)
+
+    return _make(out, (a,), backward, "take")
 
 
 def slice_axis(a, axis, start, stop):
@@ -413,8 +438,3 @@ def slice_axis(a, axis, start, stop):
         return (full,)
 
     return _make(out.copy(), (a,), backward, "slice")
-
-
-def dot(a, b):
-    """Inner product of two same-shape tensors (full contraction)."""
-    return rsum(mul(a, b))

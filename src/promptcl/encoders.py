@@ -165,14 +165,14 @@ def _attention(blk, h, heads, residual=None, prefix_kv=None):
         v = ad.concat([pv, v], axis=-2)
     dim = q.shape[-1]
     dh = dim // heads
-    ctx_heads = []
-    for i in range(heads):
-        qh = ad.slice_axis(q, -1, i * dh, (i + 1) * dh)
-        kh = ad.slice_axis(k, -1, i * dh, (i + 1) * dh)
-        vh = ad.slice_axis(v, -1, i * dh, (i + 1) * dh)
-        scores = ad.scale(ad.matmul(qh, ad.transpose_last2(kh)), 1.0 / np.sqrt(dh))
-        ctx_heads.append(ad.matmul(ad.softmax(scores), vh))
-    ctx = ad.concat(ctx_heads, axis=-1)
+
+    def split_heads(t):  # (..., n, dim) -> (..., heads, n, dh)
+        return ad.swapaxes(ad.reshape(t, t.shape[:-1] + (heads, dh)), -3, -2)
+
+    qh, kh, vh = split_heads(q), split_heads(k), split_heads(v)
+    scores = ad.scale(ad.matmul(qh, ad.transpose_last2(kh)), 1.0 / np.sqrt(dh))
+    ctx = ad.swapaxes(ad.matmul(ad.softmax(scores), vh), -3, -2)
+    ctx = ad.reshape(ctx, q.shape)
     msa = ad.add(ad.matmul(ctx, c(blk["wo"])), c(blk["bo"]))
     e = ad.add(h, msa)
     if residual is not None:
@@ -183,23 +183,31 @@ def _attention(blk, h, heads, residual=None, prefix_kv=None):
     return ad.add(e, mlp)
 
 
-def text_encode(stack: FrozenStack, prompt_token, class_embed: ClassNameEmbedding):
+def text_encode(stack: FrozenStack, prompt_token, class_embed):
     """Encode the 2-token sequence [prompt; class-name] to a unit key vector.
 
-    Differentiable w.r.t. ``prompt_token`` when it is a Tensor requiring grad.
+    A ``(d,)`` prompt with one ``ClassNameEmbedding`` gives a ``(d,)`` key; a
+    ``(C, d)`` prompt batch with a sequence of C embeddings gives ``(C, d)``
+    keys, row c bit-identical to encoding prompt c alone. Differentiable
+    w.r.t. ``prompt_token`` when it is a Tensor requiring grad.
     """
     d = stack.config.d
     p = prompt_token if isinstance(prompt_token, ad.Tensor) else ad.constant(prompt_token)
-    if p.shape != (d,):
-        raise ad.ShapeError(f"text_encode: prompt token shape {p.shape}, expected ({d},)")
-    if class_embed.vector.shape != (d,):
-        raise ad.ShapeError(f"text_encode: class embedding shape {class_embed.vector.shape}")
-    tokens = ad.add(ad.stack([p, ad.constant(class_embed.vector)], axis=0),
+    if isinstance(class_embed, ClassNameEmbedding):
+        names = class_embed.vector
+    else:
+        names = np.stack([e.vector for e in class_embed])
+    if names.shape[-1:] != (d,) or names.ndim > 2:
+        raise ad.ShapeError(f"text_encode: class embedding shape {names.shape}")
+    if p.shape != names.shape:
+        raise ad.ShapeError(
+            f"text_encode: prompt token shape {p.shape}, expected {names.shape}")
+    tokens = ad.add(ad.stack([p, ad.constant(names)], axis=-2),
                     ad.constant(stack.text_pos))
     h = tokens
     for blk in stack.text_blocks:
         h = _attention(blk, h, stack.config.clip_heads)
-    pooled = ad.mean(h, axis=0)
+    pooled = ad.mean(h, axis=-2)
     out = ad.matmul(pooled, ad.constant(stack.text_out))
     return ad.l2_normalize(out)
 

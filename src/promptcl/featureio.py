@@ -9,6 +9,7 @@ a version, then named float32/int64 arrays.
 """
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -91,33 +92,38 @@ def write_archive(path, magic: bytes, arrays: dict) -> None:
 
 
 def read_archive(path, magic: bytes) -> dict:
+    """Read named arrays back; a truncated or corrupt file raises FormatError."""
     with open(path, "rb") as f:
         raw = f.read()
     if raw[:8] != magic:
         raise FormatError(f"{path}: bad magic {raw[:8]!r}, expected {magic!r}")
-    version, n = struct.unpack("<II", raw[8:16])
+    off = 8
+
+    def chunk(n, what):
+        nonlocal off
+        if off + n > len(raw):
+            raise FormatError(f"{path}: truncated at byte {len(raw)} while reading {what}")
+        off += n
+        return raw[off - n:off]
+
+    version, n = struct.unpack("<II", chunk(8, "the header"))
     if version != 1:
         raise FormatError(f"{path}: unsupported archive version {version}")
     arrays = {}
-    off = 16
     for _ in range(n):
-        (nlen,) = struct.unpack_from("<I", raw, off)
-        off += 4
-        name = raw[off:off + nlen].decode("utf-8")
-        off += nlen
-        code = raw[off:off + 2]
-        off += 2
+        (nlen,) = struct.unpack("<I", chunk(4, "a name length"))
+        try:
+            name = chunk(nlen, "a name").decode("utf-8")
+        except UnicodeDecodeError:
+            raise FormatError(f"{path}: array name is not UTF-8") from None
+        code = chunk(2, f"the dtype of {name!r}")
         if code not in _DTYPES:
             raise FormatError(f"{path}: unknown dtype code {code!r}")
-        (ndim,) = struct.unpack_from("<I", raw, off)
-        off += 4
-        shape = struct.unpack_from(f"<{ndim}I", raw, off)
-        off += 4 * ndim
+        (ndim,) = struct.unpack("<I", chunk(4, f"the rank of {name!r}"))
+        shape = struct.unpack(f"<{ndim}I", chunk(4 * ndim, f"the shape of {name!r}"))
         dt = np.dtype(_DTYPES[code])
-        size = int(np.prod(shape, dtype=np.int64)) if ndim else 1
-        arr = np.frombuffer(raw, dtype=dt, count=size, offset=off).reshape(shape)
-        off += size * dt.itemsize
-        arrays[name] = arr.copy()
+        payload = chunk(math.prod(shape) * dt.itemsize, f"array {name!r}")
+        arrays[name] = np.frombuffer(payload, dtype=dt).reshape(shape).copy()
     if off != len(raw):
         raise FormatError(f"{path}: trailing bytes")
     return arrays

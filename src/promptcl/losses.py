@@ -81,32 +81,43 @@ def ce_stage2(head_w, head_b, cls_features, label_idx) -> ad.Tensor:
     return _nll(ad.log_softmax(head_logits(head_w, head_b, feats)), label_idx)
 
 
+def _prompt_rows(prompts) -> ad.Tensor | None:
+    """Prompts as one (n, ...) tensor: a Tensor as is, a list stacked; None
+    when there are none."""
+    if isinstance(prompts, ad.Tensor):
+        return prompts if prompts.shape[0] else None
+    return ad.stack(prompts, axis=0) if len(prompts) else None
+
+
 def ortho_first(current_prompts, past_prompts) -> ad.Tensor:
-    """Sum over current x past pairs of |⟨p̂_{c'}, p̂_c⟩| (normalized prompts)."""
-    if not past_prompts or not current_prompts:
+    """Sum over current x past pairs of |⟨p̂_{c'}, p̂_c⟩| (normalized prompts).
+
+    ``current_prompts``: a (C, d) Tensor or a list of (d,) prompts;
+    ``past_prompts``: a list of (d,) arrays.
+    """
+    cur = _prompt_rows(current_prompts)
+    if cur is None or len(past_prompts) == 0:
         return ad.constant(0.0)
-    total = None
-    for q in current_prompts:
-        qn = ad.l2_normalize(q)
-        for pv in past_prompts:
-            term = ad.absolute(ad.dot(qn, ad.l2_normalize(ad.constant(pv))))
-            total = term if total is None else ad.add(total, term)
-    return total
+    pn = ad.l2_normalize(ad.constant(np.stack(past_prompts))).data
+    sims = ad.matmul(ad.l2_normalize(cur), ad.constant(pn.T))             # (C, P)
+    return ad.rsum(ad.absolute(sims))
 
 
 def ortho_second(current_qs, past_qs) -> ad.Tensor:
-    """Per-layer average of the pairwise penalty over second-level prompts."""
-    if not past_qs or not current_qs:
+    """Per-layer average of the pairwise penalty over second-level prompts.
+
+    ``current_qs``: a (C, L, ...) Tensor or a list of (L, ...) prompts;
+    ``past_qs``: a list of matching (L, ...) arrays.
+    """
+    cur = _prompt_rows(current_qs)
+    if cur is None or len(past_qs) == 0:
         return ad.constant(0.0)
-    L = current_qs[0].shape[0]
-    total = None
-    for q in current_qs:
-        for pv in past_qs:
-            qn = ad.l2_normalize(ad.reshape(q, (L, -1)))
-            pn = ad.l2_normalize(ad.constant(pv.reshape(L, -1)))
-            term = ad.rsum(ad.absolute(ad.rsum(ad.mul(qn, pn), axis=-1)))
-            total = term if total is None else ad.add(total, term)
-    return ad.scale(total, 1.0 / L)
+    C, L = cur.shape[:2]
+    past = np.stack(past_qs)
+    pn = ad.l2_normalize(ad.constant(past.reshape(len(past), L, -1))).data  # (P, L, k)
+    qn = ad.swapaxes(ad.l2_normalize(ad.reshape(cur, (C, L, -1))), 0, 1)    # (L, C, k)
+    sims = ad.matmul(qn, ad.constant(pn.transpose(1, 2, 0)))                 # (L, C, P)
+    return ad.scale(ad.rsum(ad.absolute(sims)), 1.0 / L)
 
 
 def sample_replay_features(bank: dict, class_ids, n: int, rng: Rng):

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .encoders import ClassNameEmbedding, FrozenStack, text_encode
+from .encoders import FrozenStack, text_encode
 from .featureio import read_archive, write_archive
 from .rng import Rng
 
@@ -71,62 +71,78 @@ class PrototypeKeys:
 
 def compute_keys(books: Codebooks, stack: FrozenStack, class_embeds: dict) -> PrototypeKeys:
     """Recompute every class key from its (frozen or trainable) prompt."""
-    keys = {}
     for cid in books.class_ids:
         if cid not in class_embeds:
             raise CodebookError(f"no class-name embedding for class {cid}")
-        keys[cid] = text_encode(stack, books.p[cid], class_embeds[cid]).data.copy()
-    return PrototypeKeys(keys=keys)
+    if not books.class_ids:
+        return PrototypeKeys()
+    rows = key_tensor(books, stack, class_embeds, books.class_ids).data
+    return PrototypeKeys(keys={cid: rows[i].copy() for i, cid in enumerate(books.class_ids)})
 
 
-def key_tensor(books: Codebooks, stack: FrozenStack, class_embeds: dict, cid: int,
+def key_tensor(books: Codebooks, stack: FrozenStack, class_embeds: dict, cids,
                p_tensor: ad.Tensor | None = None) -> ad.Tensor:
-    """Differentiable key for one class; pass ``p_tensor`` to share a leaf."""
-    p = p_tensor if p_tensor is not None else ad.constant(books.p[cid])
-    return text_encode(stack, p, class_embeds[cid])
+    """Differentiable (C, d) keys of classes ``cids``, encoded as one batch;
+    pass a (C, d) ``p_tensor`` to share a leaf."""
+    p = p_tensor if p_tensor is not None else ad.constant(np.stack([books.p[c] for c in cids]))
+    return text_encode(stack, p, [class_embeds[c] for c in cids])
 
 
 @dataclass
 class Selection:
-    class_id: int
-    sim: float
-    sims: np.ndarray      # over the key class ids, ascending order
+    class_id: int | np.ndarray   # (b,) ids for a (b, d) query batch
+    sim: float | np.ndarray      # (b,)
+    sims: np.ndarray             # over the key class ids, ascending order; (b, C)
 
 
 def select(keys: PrototypeKeys, z, A: dict | None = None) -> Selection:
-    """Pick the class whose prototype key best matches the visual query.
+    """Pick, per query row, the class whose prototype key best matches it.
 
     The query is reweighted per class (z * A_c) and re-normalized so the
-    similarity stays a bounded cosine. Exact ties go to the lowest class index.
+    similarity stays a bounded cosine; a zero-norm query maps to similarity 0.
+    Exact ties go to the lowest class index. A (d,) query gives scalars.
     """
     ids = keys.class_ids()
     if not ids:
         raise CodebookError("select: empty key set")
     z = np.asarray(z, dtype=np.float32)
-    sims = np.empty(len(ids), np.float32)
-    for i, cid in enumerate(ids):
-        q = z * (A[cid] if A is not None else 1.0)
-        n = np.linalg.norm(q)
-        q = q / n if n >= 1e-8 else q * 0.0
-        sims[i] = q @ keys.keys[cid]
-    best = int(np.argmax(sims))  # argmax returns the first (lowest-id) maximum
-    return Selection(class_id=ids[best], sim=float(sims[best]), sims=sims)
+    K = np.stack([keys.keys[c] for c in ids])
+    q = z[..., None, :]                           # (..., 1, d)
+    if A is not None:
+        q = q * np.stack([A[c] for c in ids])     # (..., C, d)
+    # vecdot reduces each row like the 1-D BLAS dot, so rows match
+    # single-query calls bit for bit
+    n = np.sqrt(np.vecdot(q, q))[..., None]
+    ok = n >= 1e-8
+    q = np.where(ok, q / np.where(ok, n, 1.0), 0.0)
+    sims = np.vecdot(q, K).astype(np.float32)
+    best = np.argmax(sims, axis=-1)  # argmax returns the first (lowest-id) maximum
+    if z.ndim == 1:
+        return Selection(class_id=ids[best], sim=float(sims[best]), sims=sims)
+    return Selection(class_id=np.asarray(ids)[best],
+                     sim=np.take_along_axis(sims, best[:, None], axis=-1)[:, 0], sims=sims)
 
 
 def weighted_similarity(z, A, w) -> ad.Tensor:
-    """Differentiable ⟨normalize(z ⊙ A), w⟩ used to rebuild the selected
-    class's similarity inside a training graph (gradient reaches A)."""
+    """Differentiable ⟨normalize(z ⊙ A), w⟩ over the last axis, row-wise over
+    any leading axis; rebuilds the selected classes' similarities inside a
+    training graph (gradient reaches A)."""
     z = z if isinstance(z, ad.Tensor) else ad.constant(z)
     w = w if isinstance(w, ad.Tensor) else ad.constant(w)
-    return ad.dot(ad.l2_normalize(ad.mul(z, A)), w)
+    return ad.rsum(ad.mul(ad.l2_normalize(ad.mul(z, A)), w), axis=-1)
 
 
 def build_residual(Q, sim) -> ad.Tensor:
-    """Per-layer residual: sim * Q[l]."""
+    """Per-layer residual sim * Q[l]; row-wise for a (b, ...) batch of Q with
+    a (b,) vector of sims."""
     Q = Q if isinstance(Q, ad.Tensor) else ad.constant(Q)
-    if isinstance(sim, ad.Tensor):
-        return ad.mul(Q, sim)
-    return ad.scale(Q, float(sim))
+    if not isinstance(sim, ad.Tensor):
+        if np.ndim(sim) == 0:
+            return ad.scale(Q, float(sim))
+        sim = ad.constant(sim)
+    if sim.ndim:
+        sim = ad.reshape(sim, sim.shape + (1,) * (Q.ndim - sim.ndim))
+    return ad.mul(Q, sim)
 
 
 # ---------------------------------------------------------------------------

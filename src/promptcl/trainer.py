@@ -155,6 +155,35 @@ def _fit_bank(bank, feats, labels, class_ids, m, seed_rng, tag):
         bank[cid] = gmm.fit_em(pts, cfg)
 
 
+def _stacked_leaf(arrays: dict, cids) -> ad.Tensor:
+    """One trainable (C, ...) leaf holding the rows of classes ``cids``."""
+    return ad.Tensor(np.stack([arrays[c] for c in cids]), requires_grad=True)
+
+
+def _row_grads(name: str, cids, leaf: ad.Tensor, used=None) -> dict:
+    """Per-class gradient rows of a stacked leaf; classes not ``used`` get no
+    entry, so Adam leaves them untouched as if they were outside the graph."""
+    if leaf.grad is None:
+        return {}
+    return {f"{name}{c}": leaf.grad[i] for i, c in enumerate(cids)
+            if used is None or used[i]}
+
+
+def _class_rows(ids, arrays: dict, live_ids=(), live=None):
+    """The rows of classes ``ids`` as one table plus each class's row in it:
+    ``live_ids`` come from the leaf ``live``, the rest from ``arrays`` as
+    one constant."""
+    frozen = [c for c in ids if c not in live_ids]
+    row = {c: i for i, c in enumerate(frozen + list(live_ids))}
+    if live is None or frozen:
+        table = ad.constant(np.stack([arrays[c] for c in frozen]))
+        if live is not None:
+            table = ad.concat([table, live], axis=0)
+    else:
+        table = live
+    return table, row
+
+
 def _stage1(state: TrainerState, task: Task, hp: Hyperparams, z_train, rng):
     """Fit first-level prompts of the current classes (keys vs. E_vis query)."""
     books, stack, cfg = state.books, state.stack, state.stack.config
@@ -165,17 +194,14 @@ def _stage1(state: TrainerState, task: Task, hp: Hyperparams, z_train, rng):
     adam = optim.AdamState(lr=hp.lr1)
     for _ in range(hp.E1):
         for idx in _batches(len(z_train), hp.batch_size, rng.child(("s1", adam.step_count))):
-            p_t = {cid: ad.Tensor(books.p[cid], requires_grad=True) for cid in cids}
-            rows = [pr.key_tensor(books, stack, state.class_embeds, cid, p_t[cid])
-                    for cid in cids]
-            key_rows = ad.stack(rows, axis=0)
+            p_t = _stacked_leaf(books.p, cids)
+            key_rows = pr.key_tensor(books, stack, state.class_embeds, cids, p_t)
             loss = ls.ce_stage1(key_rows, z_train[idx], labels_all[idx], cfg.tau)
             if past:
-                loss = ad.add(loss, ad.scale(
-                    ls.ortho_first(list(p_t.values()), past), hp.lambda1))
+                loss = ad.add(loss, ad.scale(ls.ortho_first(p_t, past), hp.lambda1))
             loss.backward()
             optim.adam_step(adam, {f"p{c}": books.p[c] for c in cids},
-                            {f"p{c}": p_t[c].grad for c in cids})
+                            _row_grads("p", cids, p_t))
 
 
 def _stage1_replay(state: TrainerState, task: Task, hp: Hyperparams, rng):
@@ -184,53 +210,46 @@ def _stage1_replay(state: TrainerState, task: Task, hp: Hyperparams, rng):
     all_cids = sorted(books.class_ids)
     adam = optim.AdamState(lr=hp.lr1)
     for ep in range(hp.E2):
-        p_t = {cid: ad.Tensor(books.p[cid], requires_grad=True) for cid in cids}
-        rows = []
-        for cid in all_cids:
-            if cid in p_t:
-                rows.append(pr.key_tensor(books, stack, state.class_embeds,
-                                          cid, p_t[cid]))
-            else:
-                rows.append(ad.constant(state.keys.keys[cid]))
-        key_rows = ad.stack(rows, axis=0)
+        p_t = _stacked_leaf(books.p, cids)
+        live = pr.key_tensor(books, stack, state.class_embeds, cids, p_t)
+        table, row = _class_rows(all_cids, state.keys.keys, cids, live)
+        key_rows = ad.take(table, [row[c] for c in all_cids])
         loss = ls.gr_loss_first(key_rows, state.bank1, all_cids, hp.n_replay,
                                 cfg.tau, rng.child(("gr1", ep)))
         loss.backward()
         optim.adam_step(adam, {f"p{c}": books.p[c] for c in cids},
-                        {f"p{c}": p_t[c].grad for c in cids})
+                        _row_grads("p", cids, p_t))
 
 
-def _conditioned_cls(state: TrainerState, tokens, selections, q_tensors=None,
-                     a_tensors=None, z_batch=None):
-    """CLS features with the selected class's conditioning, batched.
+def _conditioned_cls(state: TrainerState, tokens, sel: pr.Selection, live=None,
+                     z_batch=None):
+    """CLS features with each query's selected-class conditioning, batched.
 
-    ``q_tensors``/``a_tensors`` (class -> Tensor leaf) make the result
-    differentiable w.r.t. the current task's prompts.
+    ``live`` = (class ids, Q leaf, A leaf) of the current task's stacked
+    prompts makes the result differentiable w.r.t. them; with ``z_batch``
+    the confidences are rebuilt in the graph so gradient reaches A.
     """
     books = state.books
-    per_sample = []
-    for i, sel in enumerate(selections):
-        cid = sel.class_id
-        q = (q_tensors or {}).get(cid, None)
-        if q is None:
-            q = ad.constant(books.Q[cid])
-        if books.prefix_tokens or state.variant == "no_conf_mod":
-            per_sample.append(q)
-            continue
-        a = (a_tensors or {}).get(cid, None)
-        if a is not None and z_batch is not None:
-            sim = pr.weighted_similarity(z_batch[i], a, state.keys.keys[cid])
-        else:
-            sim = sel.sim
-        per_sample.append(pr.build_residual(q, sim))
-    cond = ad.stack(per_sample, axis=0)
+    ids = state.keys.class_ids()
+    live_ids, q_live, a_live = live or ((), None, None)
+    q_table, row = _class_rows(ids, books.Q, live_ids, q_live)
+    rows = [row[c] for c in sel.class_id]
+    cond = ad.take(q_table, rows)
     if books.prefix_tokens:
         return vit_forward(state.stack, tokens=tokens, prefix=cond)
+    if state.variant != "no_conf_mod":
+        if a_live is not None and z_batch is not None:
+            a_table, _ = _class_rows(ids, books.A, live_ids, a_live)
+            keys = np.stack([state.keys.keys[c] for c in sel.class_id])
+            sim = pr.weighted_similarity(z_batch, ad.take(a_table, rows), keys)
+        else:
+            sim = sel.sim
+        cond = pr.build_residual(cond, sim)
     return vit_forward(state.stack, tokens=tokens, residuals=cond)
 
 
-def _select_batch(state: TrainerState, z):
-    return [pr.select(state.keys, z[i], state.books.A) for i in range(len(z))]
+def _select_batch(state: TrainerState, z) -> pr.Selection:
+    return pr.select(state.keys, z, state.books.A)
 
 
 def _stage2(state: TrainerState, task: Task, hp: Hyperparams, tokens, z_train, rng):
@@ -248,20 +267,20 @@ def _stage2(state: TrainerState, task: Task, hp: Hyperparams, tokens, z_train, r
     params["head_b"] = head_b
     for _ in range(hp.E1):
         for idx in _batches(len(tokens), hp.batch_size, rng.child(("s2", adam.step_count))):
-            q_t = {c: ad.Tensor(books.Q[c], requires_grad=True) for c in cids}
-            a_t = {c: ad.Tensor(books.A[c], requires_grad=True) for c in cids}
+            q_t = _stacked_leaf(books.Q, cids)
+            a_t = _stacked_leaf(books.A, cids)
             w_t = ad.Tensor(head_w, requires_grad=True)
             b_t = ad.Tensor(head_b, requires_grad=True)
             z_b = z_train[idx]
-            sels = _select_batch(state, z_b)
-            feats = _conditioned_cls(state, tokens[idx], sels, q_t, a_t, z_b)
+            sel = _select_batch(state, z_b)
+            feats = _conditioned_cls(state, tokens[idx], sel, (cids, q_t, a_t), z_b)
             loss = ls.ce_stage2(w_t, b_t, feats, labels_all[idx])
             if past_qs:
-                loss = ad.add(loss, ad.scale(
-                    ls.ortho_second(list(q_t.values()), past_qs), hp.lambda2))
+                loss = ad.add(loss, ad.scale(ls.ortho_second(q_t, past_qs), hp.lambda2))
             loss.backward()
-            grads = {f"Q{c}": q_t[c].grad for c in cids}
-            grads.update({f"A{c}": a_t[c].grad for c in cids})
+            hit = np.isin(cids, sel.class_id)  # current classes some query selected
+            grads = _row_grads("Q", cids, q_t, hit | bool(past_qs))
+            grads.update(_row_grads("A", cids, a_t, hit))
             grads["head_w"] = w_t.grad
             grads["head_b"] = b_t.grad
             optim.adam_step(adam, params, grads)
@@ -309,11 +328,12 @@ def train_task(state: TrainerState, task: Task, hp: Hyperparams,
 
     if state.variant == "no_first_level":
         # static hand-crafted key surrogate: fixed context token per class name
-        ctx = _handcrafted_context(state.stack.config.d)
-        for cid in task.class_ids:
-            state.keys.keys[cid] = pr.key_tensor(
-                state.books, state.stack, state.class_embeds, cid,
-                ad.constant(ctx)).data.copy()
+        cids = list(task.class_ids)
+        ctx = np.tile(_handcrafted_context(state.stack.config.d), (len(cids), 1))
+        keys = pr.key_tensor(state.books, state.stack, state.class_embeds, cids,
+                             ad.constant(ctx)).data
+        for i, cid in enumerate(cids):
+            state.keys.keys[cid] = keys[i].copy()
     else:
         _stage1(state, task, hp, z_train, rng.child("stage1"))
         if state.variant != "no_replay":
@@ -326,8 +346,8 @@ def train_task(state: TrainerState, task: Task, hp: Hyperparams,
     if state.variant != "first_level_only":
         _stage2(state, task, hp, tokens, z_train, rng.child("stage2"))
         if state.variant != "no_replay":
-            sels = _select_batch(state, z_train)
-            cls_feats = _conditioned_cls(state, tokens, sels).data
+            sel = _select_batch(state, z_train)
+            cls_feats = _conditioned_cls(state, tokens, sel).data
             _fit_bank(state.bank2, cls_feats, task.train_y, task.class_ids,
                       hp.M, rng, "mog2")
             _stage2_replay(state, hp, rng.child("replay2"))
@@ -342,9 +362,8 @@ def train_task(state: TrainerState, task: Task, hp: Hyperparams,
 # inference
 
 
-def predict_batch(state: TrainerState, x):
-    """Task-agnostic prediction: (class ids, logits over all seen classes,
-    selected key class per query)."""
+def _encode_queries(state: TrainerState, x):
+    """Token grids and visual queries of ``x``, both with a batch axis."""
     if state.current_task < 0:
         raise TrainerError("predict before any task was trained")
     raw = _raw_inputs(state, x)
@@ -352,16 +371,23 @@ def predict_batch(state: TrainerState, x):
     if z.ndim == 1:
         z = z[None]
         raw = raw[None]
-    sels = _select_batch(state, z)
-    chosen = [s.class_id for s in sels]
+    return raw, z
+
+
+def predict_batch(state: TrainerState, x):
+    """Task-agnostic prediction: (class ids, logits over all seen classes,
+    selected key class per query)."""
+    raw, z = _encode_queries(state, x)
+    sel = _select_batch(state, z)
+    chosen = sel.class_id.tolist()
     if state.variant == "first_level_only":
         # classify straight from the key posteriors
         ids = state.keys.class_ids()
-        logits = np.stack([s.sims for s in sels]) / state.stack.config.tau
+        logits = sel.sims / state.stack.config.tau
         preds = [ids[int(i)] for i in np.argmax(logits, axis=1)]
         return preds, logits, chosen
     tokens = embed_tokens(state.stack, raw)
-    feats = _conditioned_cls(state, tokens, sels).data
+    feats = _conditioned_cls(state, tokens, sel).data
     cols = []
     for t in state.heads.task_ids():
         w, b = state.heads.heads[t]
@@ -378,8 +404,10 @@ def evaluate(state: TrainerState, task: Task) -> float:
 
 
 def selected_classes(state: TrainerState, x):
-    _, _, chosen = predict_batch(state, x)
-    return chosen
+    """The key class each query selects, as ``predict_batch`` reports it,
+    without running the conditioned ViT or the heads."""
+    _, z = _encode_queries(state, x)
+    return _select_batch(state, z).class_id.tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -137,3 +137,64 @@ def test_determinism_bitwise_streams():
     assert a.tobytes() == b.tobytes()
     c = Rng(1996).normal((50,))
     assert a.tobytes() != c.tobytes()
+
+
+def test_swapaxes_grad_4d():
+    from promptcl.optim import grad_check
+
+    x0 = Rng(21).normal((2, 3, 4, 5), dtype=np.float64)
+    probe = Rng(22).normal((2, 4, 3, 5), dtype=np.float64)
+
+    def fn(t):
+        s = ad.swapaxes(t["x"], -3, -2)
+        return ad.rsum(ad.mul(ad.mul(s, s), ad.constant(probe)))
+
+    assert ad.swapaxes(ad.Tensor(x0), -3, -2).data.tobytes() == \
+        np.ascontiguousarray(np.swapaxes(x0.astype(np.float32), 1, 2)).tobytes()
+    report = grad_check(fn, {"x": x0}, tol=1e-6)
+    assert report.passed, report.max_rel_err
+
+
+def test_take_repeated_indices_grad():
+    from promptcl.optim import grad_check
+
+    a0 = Rng(23).normal((4, 3), dtype=np.float64)
+    idx = [2, 0, 2, 2, 1]
+    probe = Rng(24).normal((len(idx), 3), dtype=np.float64)
+
+    def fn(t):
+        rows = ad.take(t["a"], idx)
+        return ad.rsum(ad.mul(ad.mul(rows, rows), ad.constant(probe)))
+
+    report = grad_check(fn, {"a": a0}, tol=1e-6)
+    assert report.passed, report.max_rel_err
+
+    a = ad.Tensor(a0, requires_grad=True)
+    ad.rsum(ad.take(a, idx)).backward()
+    np.testing.assert_array_equal(a.grad, np.array([1, 1, 3, 0])[:, None] * np.ones((4, 3)))
+
+
+def test_weighted_similarity_batched_grad_reaches_a_only():
+    from promptcl import prompts as pr
+    from promptcl.optim import grad_check
+
+    rng = Rng(25)
+    z = rng.normal((5, 6), dtype=np.float64)
+    w = rng.normal((5, 6), dtype=np.float64)
+    w /= np.linalg.norm(w, axis=-1, keepdims=True)
+    a0 = rng.normal((5, 6), dtype=np.float64) + 1.0
+    probe = rng.normal((5,), dtype=np.float64)
+
+    def fn(t):
+        return ad.rsum(ad.mul(pr.weighted_similarity(z, t["A"], w), ad.constant(probe)))
+
+    report = grad_check(fn, {"A": a0}, tol=1e-5)
+    assert report.passed, report.max_rel_err
+
+    A = ad.Tensor(a0, requires_grad=True)
+    sims = pr.weighted_similarity(z, A, w)
+    assert sims.shape == (5,)
+    for i in range(5):  # row i equals the single-row call
+        assert sims.data[i] == pr.weighted_similarity(z[i], ad.Tensor(a0[i]), w[i]).item()
+    ad.rsum(sims).backward()
+    assert A.grad is not None and A.grad.shape == (5, 6)

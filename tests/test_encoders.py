@@ -159,6 +159,32 @@ def test_vit_matches_reference_forward(with_residual):
     np.testing.assert_allclose(got.data, expected, atol=1e-5)
 
 
+@pytest.mark.parametrize("with_residual", [False, True])
+def test_vit_multihead_matches_reference_forward(with_residual):
+    cfg = enc.EncoderConfig(d=8, d_prime=8, L=2, heads=4, seq_len=4, tau=0.05, patch_dim=6)
+    stack = enc.build_stack(cfg, 21)
+    x = Rng(11).normal((cfg.patches, cfg.patch_dim))
+    res = Rng(12).normal((cfg.L, cfg.d_prime), std=0.3) if with_residual else None
+    tokens = enc.embed_tokens(stack, x)
+    expected = _reference_forward(stack, tokens, res)
+    got = enc.vit_forward(stack, x, residuals=res)
+    np.testing.assert_allclose(got.data, expected, atol=1e-5)
+
+
+def test_text_encode_batch_rows_equal_single_calls():
+    cfg = small_config()
+    stack = enc.build_stack(cfg, 7)
+    embeds = [enc.class_name_embed(f"class-{i}", cfg) for i in range(5)]
+    prompts = Rng(4).normal((5, cfg.d), std=0.02)
+    keys = enc.text_encode(stack, prompts, embeds)
+    assert keys.shape == (5, cfg.d)
+    for i in range(5):
+        single = enc.text_encode(stack, prompts[i], embeds[i])
+        assert keys.data[i].tobytes() == single.data.tobytes()
+    with pytest.raises(ad.ShapeError):
+        enc.text_encode(stack, prompts, embeds[:4])
+
+
 def test_frozen_weights_untouched_by_forward_passes():
     cfg = small_config()
     stack = enc.build_stack(cfg, 17)

@@ -62,3 +62,26 @@ def test_archive_round_trip(tmp_path):
     assert float(back["scalar"]) == 2.5
     with pytest.raises(FormatError):
         read_archive(path, b"STAROTHR")
+
+
+def test_every_truncated_archive_raises_format_error(tmp_path):
+    path = tmp_path / "a.bin"
+    write_archive(path, b"STARTEST", {"w": np.arange(6, dtype=np.float32).reshape(2, 3),
+                                      "ids": np.array([7, 8], dtype=np.int64),
+                                      "s": np.float32(1.5)})
+    raw = path.read_bytes()
+    cut = tmp_path / "cut.bin"
+    for n in range(len(raw)):
+        cut.write_bytes(raw[:n])
+        with pytest.raises(FormatError):
+            read_archive(cut, b"STARTEST")
+
+
+def test_archive_bad_utf8_name_raises_format_error(tmp_path):
+    path = tmp_path / "a.bin"
+    write_archive(path, b"STARTEST", {"ab": np.float32(1.0)})
+    raw = bytearray(path.read_bytes())
+    raw[20] = 0xFF  # first byte of the first name
+    path.write_bytes(bytes(raw))
+    with pytest.raises(FormatError, match="UTF-8"):
+        read_archive(path, b"STARTEST")

@@ -102,6 +102,22 @@ def test_ortho_second_cases():
     assert abs(loss.item() - 0.4) < 1e-5
 
 
+def test_ortho_batched_matches_pairwise_loop():
+    # reference: the pairwise sum in float64; the batched penalties run in
+    # float32 with a different summation order, hence the tolerance
+    rng = Rng(4)
+    cur_p, past_p = rng.normal((3, 8)), [rng.normal((8,)) for _ in range(5)]
+    cur_q, past_q = rng.normal((3, 2, 6)), [rng.normal((2, 6)) for _ in range(5)]
+    unit = lambda v: v / np.linalg.norm(v.astype(np.float64), axis=-1, keepdims=True)
+    want_first = sum(abs(unit(c) @ unit(p)) for c in cur_p for p in past_p)
+    want_second = sum(np.abs((unit(c) * unit(p)).sum(-1)).sum()
+                      for c in cur_q for p in past_q) / 2
+    got_first = ls.ortho_first(ad.Tensor(cur_p, requires_grad=True), past_p).item()
+    got_second = ls.ortho_second([ad.Tensor(q) for q in cur_q], past_q).item()
+    assert abs(got_first - want_first) < 1e-5 * max(1.0, want_first)
+    assert abs(got_second - want_second) < 1e-5 * max(1.0, want_second)
+
+
 def point_mass_bank(means):
     bank = {}
     for cid, mu in means.items():

@@ -114,6 +114,40 @@ def test_select_orthonormal_query_equals_key():
     assert abs(sel.sim - 1.0) < 1e-6
 
 
+def test_select_batch_equals_row_by_row():
+    rng = Rng(10)
+    keys = pr.PrototypeKeys()
+    for cid in (2, 5, 9, 11):
+        v = rng.normal((6,))
+        keys.keys[cid] = v / np.linalg.norm(v)
+    keys.keys[9] = keys.keys[5].copy()  # exact tie between classes 5 and 9
+    A = {c: rng.normal((6,)) + 1.0 for c in keys.keys}
+    A[9] = A[5].copy()
+    z = rng.normal((7, 6))
+    z[3] = keys.keys[5] / A[5]  # ties 5 against 9
+    z[4] = 0.0                  # zero row
+    for weights in (A, None):
+        sel = pr.select(keys, z, weights)
+        assert sel.class_id.shape == sel.sim.shape == (7,)
+        assert sel.sims.shape == (7, 4)
+        for i in range(len(z)):
+            row = pr.select(keys, z[i], weights)
+            assert sel.class_id[i] == row.class_id
+            assert sel.sim[i] == row.sim
+            assert sel.sims[i].tobytes() == row.sims.tobytes()
+        assert sel.class_id[4] == 2 and sel.sim[4] == 0.0
+        assert not sel.sims[4].any()
+    assert pr.select(keys, z, A).class_id[3] == 5
+
+
+def test_build_residual_rows():
+    q = Rng(11).normal((3, 2, 4))
+    sim = np.array([0.5, -1.0, 0.0], np.float32)
+    r = pr.build_residual(q, sim)
+    for i in range(3):
+        assert r.data[i].tobytes() == pr.build_residual(q[i], float(sim[i])).data.tobytes()
+
+
 def test_build_residual_values():
     q = np.ones((2, 3), np.float32)
     assert np.all(pr.build_residual(q, 0.0).data == 0.0)

@@ -115,6 +115,34 @@ def test_predict_untrained_errors_and_logit_width():
     assert logits.shape[1] == 6  # tasks of sizes 2,2,2
 
 
+@pytest.mark.parametrize("variant", [None, "first_level_only"])
+def test_selected_classes_match_predict_batch(variant):
+    stream = small_stream(num_tasks=2)
+    state = run_stream(stream, variant=variant)
+    for task in stream.tasks:
+        chosen = tr.selected_classes(state, task.test_x)
+        assert chosen == tr.predict_batch(state, task.test_x)[2]
+    one = stream.tasks[1].test_x[0]
+    assert tr.selected_classes(state, one) == tr.predict_batch(state, one)[2]
+
+
+def test_conditioned_cls_rows_equal_single_sample_forwards():
+    from promptcl import prompts as pr
+    from promptcl.encoders import embed_tokens, vision_encode, vit_forward
+
+    stream = small_stream(num_tasks=2)
+    state = run_stream(stream)
+    x = stream.tasks[1].test_x
+    z = vision_encode(state.stack, x)
+    tokens = embed_tokens(state.stack, x)
+    sel = tr._select_batch(state, z)
+    feats = tr._conditioned_cls(state, tokens, sel).data
+    for i in range(len(x)):
+        res = pr.build_residual(state.books.Q[int(sel.class_id[i])], float(sel.sim[i]))
+        one = vit_forward(state.stack, tokens=tokens[i], residuals=res)
+        assert feats[i].tobytes() == one.data.tobytes()
+
+
 def test_unimodal_forces_single_component():
     stream = small_stream(num_tasks=2)
     state = run_stream(stream, variant="unimodal")
