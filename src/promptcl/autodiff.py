@@ -12,16 +12,18 @@ import contextlib
 import numpy as np
 from scipy.special import erf
 
+from . import PromptclError
 
-class ShapeError(ValueError):
+
+class ShapeError(PromptclError):
     """Raised when operand shapes do not conform for a primitive op."""
 
 
-class NonFiniteError(FloatingPointError):
-    """Raised when a primitive produces (or receives) NaN/Inf entries."""
+class NonFiniteError(PromptclError, FloatingPointError):
+    """Raised when a leaf holds, or a primitive produces, NaN/Inf entries."""
 
 
-class GraphError(RuntimeError):
+class GraphError(PromptclError, RuntimeError):
     """Raised on graph misuse, e.g. backward called twice on one graph."""
 
 
@@ -252,7 +254,6 @@ def gelu(a):
 
 def layer_norm(a, eps=1e-5):
     """Per-row (last axis) normalization, scale=1 shift=0, float64 statistics."""
-    _ensure_finite(a.data, "layer_norm(input)")
     x = a.data
     mu = x.mean(axis=-1, keepdims=True, dtype=np.float64)
     var = np.square(x.astype(np.float64) - mu).mean(axis=-1, keepdims=True)
@@ -269,7 +270,6 @@ def layer_norm(a, eps=1e-5):
 
 def softmax(a):
     """Per-row softmax, max-subtracted."""
-    _ensure_finite(a.data, "softmax(input)")
     x = a.data
     shifted = x - x.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
@@ -283,7 +283,6 @@ def softmax(a):
 
 
 def log_softmax(a):
-    _ensure_finite(a.data, "log_softmax(input)")
     x = a.data
     shifted = x - x.max(axis=-1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True, dtype=np.float64)).astype(x.dtype)

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
+from . import PromptclError
 from . import autodiff as ad
 from . import losses as ls
 from . import metrics as mt
@@ -180,24 +181,19 @@ class RunReport:
     per_seed: dict = field(default_factory=dict)      # seed -> AccuracyMatrix
     confusions: dict = field(default_factory=dict)    # seed -> confusion array
     precision_curves: dict = field(default_factory=dict)  # seed -> [per-task]
-    faa_mean: float = 0.0
-    faa_std: float = 0.0
-    ff_mean: float | None = None
-    ff_std: float | None = None
+    summary: dict = field(default_factory=dict)       # metrics.summarize(per_seed)
     paths: list = field(default_factory=list)
 
 
-def _first_task_precision(state, stream, first_task):
-    chosen = tr.selected_classes(state, first_task.test_x)
-    return float(np.mean([state.books.task_of[c] == first_task.task_id
-                          for c in chosen]))
-
-
-def _confusion(state, stream):
-    owner = dict(state.books.task_of)
-    sels = [tr.selected_classes(state, task.test_x)
-            for task in stream.tasks[:state.current_task + 1]]
-    return mt.retrieval_confusion(owner, sels)
+def _predict_tasks(state, tasks):
+    """Accuracy and the selected key class per query on each task's test
+    set, from one ``predict_batch`` call per task."""
+    accs, chosen = [], []
+    for task in tasks:
+        preds, _, sel = tr.predict_batch(state, task.test_x)
+        accs.append(float(np.mean(np.asarray(preds) == task.test_y)))
+        chosen.append(sel)
+    return accs, chosen
 
 
 def run_experiment(config: ExperimentConfig, write=True,
@@ -213,21 +209,17 @@ def run_experiment(config: ExperimentConfig, write=True,
         curve = []
         for task in stream.tasks:
             tr.train_task(state, task, config.hp, stream.class_names)
-            for j in range(task.task_id + 1):
-                matrix.record(task.task_id, j, tr.evaluate(state, stream.tasks[j]))
-            curve.append(_first_task_precision(state, stream, stream.tasks[0]))
+            accs, chosen = _predict_tasks(state, stream.tasks[:task.task_id + 1])
+            for j, acc in enumerate(accs):
+                matrix.record(task.task_id, j, acc)
+            # first-task precision: share of task-0 queries keyed to a task-0 class
+            curve.append(float(np.mean([state.books.task_of[c] == 0 for c in chosen[0]])))
         report.per_seed[seed] = matrix
-        report.confusions[seed] = _confusion(state, stream)
+        report.confusions[seed] = mt.retrieval_confusion(state.books.task_of, chosen)
         report.precision_curves[seed] = curve
         if checkpoint_last:
             tr.save_checkpoint(state, os.path.join(config.out, f"ckpt_seed{seed}"))
-    faas = [mt.faa(report.per_seed[s]) for s in sorted(report.per_seed)]
-    report.faa_mean = float(np.mean(faas))
-    report.faa_std = float(np.std(faas))
-    if len(base.tasks) > 1:
-        ffs = [mt.final_forgetting(report.per_seed[s]) for s in sorted(report.per_seed)]
-        report.ff_mean = float(np.mean(ffs))
-        report.ff_std = float(np.std(ffs))
+    report.summary = mt.summarize(report.per_seed)
     if write:
         extras = {"variant": config.variant or "full",
                   "task1_precision": {str(s): report.precision_curves[s]
@@ -290,7 +282,8 @@ def _stage2_loss_check() -> float:
         feats = [vit_forward(stack, x[i], residuals=res) for i in range(3)]
         feats = ad.stack(feats, axis=0)
         loss = ls.ce_stage2(p["w"], p["b"], feats, labels)
-        return ad.add(loss, ad.scale(ls.ortho_second([p["Q"]], [past_q]), 0.5))
+        penalty = ls.ortho_second(ad.stack([p["Q"]], axis=0), [past_q])
+        return ad.add(loss, ad.scale(penalty, 0.5))
 
     rep = optim.grad_check(fn, params, tol=1e-3, h=1e-5)
     return rep.max_rel_err
@@ -328,8 +321,9 @@ def _load_experiment(args) -> ExperimentConfig:
 def _cmd_run(args) -> int:
     config = _load_experiment(args)
     report = run_experiment(config, checkpoint_last=args.checkpoint)
-    ff = "" if report.ff_mean is None else f"  FF {report.ff_mean:.4f} ± {report.ff_std:.4f}"
-    print(f"[{report.variant or 'full'}] FAA {report.faa_mean:.4f} ± {report.faa_std:.4f}{ff}")
+    s = report.summary
+    ff = f"  FF {s['ff_mean']:.4f} ± {s['ff_std']:.4f}" if "ff_mean" in s else ""
+    print(f"[{report.variant or 'full'}] FAA {s['faa_mean']:.4f} ± {s['faa_std']:.4f}{ff}")
     for path in report.paths:
         print("wrote", path)
     return 0
@@ -342,10 +336,9 @@ def _cmd_ablate(args) -> int:
         name = variant or "full"
         config = replace(base, variant=variant,
                          out=os.path.join(base.out, name))
-        report = run_experiment(config)
-        rows.append((name, report.faa_mean, report.faa_std,
-                     report.ff_mean, report.ff_std))
-        print(f"[{name}] FAA {report.faa_mean:.4f} ± {report.faa_std:.4f}")
+        s = run_experiment(config).summary
+        rows.append((name, s["faa_mean"], s["faa_std"], s.get("ff_mean"), s.get("ff_std")))
+        print(f"[{name}] FAA {s['faa_mean']:.4f} ± {s['faa_std']:.4f}")
     os.makedirs(base.out, exist_ok=True)
     path = os.path.join(base.out, "ablation.csv")
     with open(path, "w") as f:
@@ -358,35 +351,14 @@ def _cmd_ablate(args) -> int:
     return 0
 
 
-def _regroup_for_state(state, stream):
-    """Rebuild the stream with the checkpoint's class-to-task grouping."""
-    by_class = {}
-    for task in stream.tasks:
-        for cid in set(task.test_y.tolist()):
-            by_class[cid] = task.test_x[task.test_y == cid]
-    tasks = []
-    for t in sorted(state.task_classes):
-        cids = state.task_classes[t]
-        missing = [c for c in cids if c not in by_class]
-        if missing:
-            raise ConfigError(f"stream lacks test samples for classes {missing}")
-        te_x = np.concatenate([by_class[c] for c in cids])
-        te_y = np.concatenate([np.full(len(by_class[c]), c, np.int64) for c in cids])
-        tasks.append(sc.Task(task_id=t, class_ids=list(cids),
-                             train_x=te_x[:0], train_y=te_y[:0],
-                             test_x=te_x, test_y=te_y))
-    return sc.TaskStream(tasks=tasks, class_names=dict(stream.class_names),
-                         feature_space=stream.feature_space)
-
-
 def _cmd_diag(args) -> int:
     state = tr.load_checkpoint(args.checkpoint)
-    cfg = parse_config(args.stream)
-    config = build_experiment(cfg)
-    stream = _regroup_for_state(state, sc.generate_scenario(config.scenario))
-    if len(stream.tasks) < state.current_task + 1:
-        raise ConfigError("stream has fewer tasks than the checkpoint trained")
-    C = _confusion(state, stream)
+    config = build_experiment(parse_config(args.stream))
+    # the checkpoint's class-to-task grouping, so query task i is trained task i
+    groups = [state.task_classes[t] for t in sorted(state.task_classes)]
+    stream = sc.regroup(sc.generate_scenario(config.scenario), groups)
+    _, chosen = _predict_tasks(state, stream.tasks)
+    C = mt.retrieval_confusion(state.books.task_of, chosen)
     out = args.out or "."
     os.makedirs(out, exist_ok=True)
     path = os.path.join(out, "confusion.csv")
@@ -451,7 +423,7 @@ def main(argv=None) -> int:
                 "gradcheck": _cmd_gradcheck, "ablate": _cmd_ablate}
     try:
         return handlers[args.command](args)
-    except (ConfigError, sc.ScenarioError, tr.TrainerError, OSError) as exc:
+    except (PromptclError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

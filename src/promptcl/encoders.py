@@ -12,13 +12,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import PromptclError
 from . import autodiff as ad
 from .rng import Rng, stable_name_seed
 
 CLIP_DEPTH = 2  # blocks in the mini text/vision encoders
 
 
-class ConfigError(ValueError):
+class ConfigError(PromptclError):
     pass
 
 
@@ -63,7 +64,7 @@ class ClassNameEmbedding:
 def class_name_embed(name: str, config: EncoderConfig) -> ClassNameEmbedding:
     """Seeded-hash surrogate for a tokenizer: stable across runs and platforms."""
     if not name:
-        raise ValueError("class name must be nonempty")
+        raise ConfigError("class name must be nonempty")
     v = Rng(stable_name_seed("clname:" + name)).normal((config.d,))
     v /= np.linalg.norm(v)
     return ClassNameEmbedding(name=name, vector=v.astype(np.float32))
@@ -184,20 +185,16 @@ def _attention(blk, h, heads, residual=None, prefix_kv=None):
 
 
 def text_encode(stack: FrozenStack, prompt_token, class_embed):
-    """Encode the 2-token sequence [prompt; class-name] to a unit key vector.
+    """Encode each 2-token sequence [prompt; class-name] to a unit key vector.
 
-    A ``(d,)`` prompt with one ``ClassNameEmbedding`` gives a ``(d,)`` key; a
-    ``(C, d)`` prompt batch with a sequence of C embeddings gives ``(C, d)``
-    keys, row c bit-identical to encoding prompt c alone. Differentiable
-    w.r.t. ``prompt_token`` when it is a Tensor requiring grad.
+    A ``(C, d)`` prompt batch with a sequence of C ``ClassNameEmbedding``s
+    gives ``(C, d)`` keys, row c bit-identical to encoding prompt c alone.
+    Differentiable w.r.t. ``prompt_token`` when it is a Tensor requiring grad.
     """
     d = stack.config.d
     p = prompt_token if isinstance(prompt_token, ad.Tensor) else ad.constant(prompt_token)
-    if isinstance(class_embed, ClassNameEmbedding):
-        names = class_embed.vector
-    else:
-        names = np.stack([e.vector for e in class_embed])
-    if names.shape[-1:] != (d,) or names.ndim > 2:
+    names = np.stack([e.vector for e in class_embed])
+    if names.shape[-1:] != (d,):
         raise ad.ShapeError(f"text_encode: class embedding shape {names.shape}")
     if p.shape != names.shape:
         raise ad.ShapeError(
@@ -213,44 +210,35 @@ def text_encode(stack: FrozenStack, prompt_token, class_embed):
 
 
 def _check_grid(x, patches, patch_dim, who):
+    """``x`` as float32 token grids ``(..., patches, patch_dim)``."""
     x = np.asarray(x, dtype=np.float32)
-    if x.ndim == 2:
-        x = x[None]
-        squeeze = True
-    elif x.ndim == 3:
-        squeeze = False
-    else:
-        raise ad.ShapeError(f"{who}: rank {x.ndim} input")
     if x.shape[-2:] != (patches, patch_dim):
         raise ad.ShapeError(f"{who}: token grid {x.shape[-2:]}, expected {(patches, patch_dim)}")
-    return x, squeeze
+    return x
 
 
 def vision_encode(stack: FrozenStack, x) -> np.ndarray:
-    """Map raw token grids to l2-normalized d-vectors. Never differentiable."""
+    """Map raw token grids ``(..., patches, patch_dim)`` to l2-normalized
+    ``(..., d)`` vectors. Never differentiable."""
     cfg = stack.config
-    x, squeeze = _check_grid(x, cfg.patches, cfg.patch_dim, "vision_encode")
-    b = x.shape[0]
+    x = _check_grid(x, cfg.patches, cfg.patch_dim, "vision_encode")
     emb = np.matmul(x, stack.vis_patch)
-    cls = np.broadcast_to(stack.vis_cls, (b, 1, cfg.d))
-    tokens = np.concatenate([cls, emb], axis=1) + stack.vis_pos
+    cls = np.broadcast_to(stack.vis_cls, x.shape[:-2] + (1, cfg.d))
+    tokens = np.concatenate([cls, emb], axis=-2) + stack.vis_pos
     h = ad.constant(tokens)
     for blk in stack.vis_blocks:
         h = _attention(blk, h, cfg.clip_heads)
-    cls_out = h.data[:, 0, :] @ stack.vis_out
-    z = ad.l2_normalize(ad.constant(cls_out)).data
-    return z[0] if squeeze else z
+    cls_out = h.data[..., 0, :] @ stack.vis_out
+    return ad.l2_normalize(ad.constant(cls_out)).data
 
 
 def embed_tokens(stack: FrozenStack, x) -> np.ndarray:
-    """Patch-embed raw inputs for the main transformer: (b, seq_len, d')."""
+    """Patch-embed raw inputs for the main transformer: (..., seq_len, d')."""
     cfg = stack.config
-    x, squeeze = _check_grid(x, cfg.patches, cfg.patch_dim, "embed_tokens")
-    b = x.shape[0]
+    x = _check_grid(x, cfg.patches, cfg.patch_dim, "embed_tokens")
     emb = np.matmul(x, stack.main_patch)
-    cls = np.broadcast_to(stack.main_cls, (b, 1, cfg.d_prime))
-    tokens = np.concatenate([cls, emb], axis=1) + stack.main_pos
-    return tokens[0] if squeeze else tokens
+    cls = np.broadcast_to(stack.main_cls, x.shape[:-2] + (1, cfg.d_prime))
+    return np.concatenate([cls, emb], axis=-2) + stack.main_pos
 
 
 def lift_features(stack: FrozenStack, z) -> np.ndarray:
@@ -267,7 +255,7 @@ def vit_forward(stack: FrozenStack, x=None, residuals=None, tokens=None,
 
     ``residuals``: Tensor (L, d') for one sample or (b, L, d') for a batch;
     row l is added (broadcast across token positions) to the post-attention
-    activation of block l. ``prefix``: Tensor (..., L, 2*n_tok, d') of per-layer
+    activation of block l. ``prefix``: Tensor (b, L, 2*n_tok, d') of per-layer
     key/value prompt tokens, used instead of residuals. Differentiable only
     w.r.t. ``residuals`` / ``prefix``.
     """
@@ -283,7 +271,7 @@ def vit_forward(stack: FrozenStack, x=None, residuals=None, tokens=None,
     b = tokens.shape[0]
 
     if residuals is not None and prefix is not None:
-        raise ValueError("vit_forward: residuals and prefix are mutually exclusive")
+        raise PromptclError("vit_forward: residuals and prefix are mutually exclusive")
     if residuals is not None:
         if not isinstance(residuals, ad.Tensor):
             residuals = ad.constant(residuals)
@@ -295,8 +283,6 @@ def vit_forward(stack: FrozenStack, x=None, residuals=None, tokens=None,
     if prefix is not None:
         if not isinstance(prefix, ad.Tensor):
             prefix = ad.constant(prefix)
-        if prefix.ndim == 3:
-            prefix = ad.reshape(prefix, (1,) + prefix.shape)
 
     h = ad.constant(tokens)
     for l, blk in enumerate(stack.main_blocks):

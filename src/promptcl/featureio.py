@@ -14,11 +14,13 @@ import struct
 
 import numpy as np
 
+from . import PromptclError
+
 FEATURE_MAGIC = b"STARFEAT"
 FEATURE_VERSION = 1
 
 
-class FormatError(ValueError):
+class FormatError(PromptclError):
     """Raised on malformed binary files."""
 
 

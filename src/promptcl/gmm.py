@@ -10,13 +10,14 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import logsumexp
 
+from . import PromptclError
 from .featureio import FormatError, read_archive, write_archive
 from .rng import Rng
 
 MOG_MAGIC = b"STARMOGB"
 
 
-class FitError(ValueError):
+class FitError(PromptclError):
     pass
 
 

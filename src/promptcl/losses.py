@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import PromptclError
 from . import autodiff as ad
 from . import gmm
 from .featureio import read_archive, write_archive
@@ -19,7 +20,7 @@ from .rng import Rng
 HEADS_MAGIC = b"STARHEAD"
 
 
-class LossError(ValueError):
+class LossError(PromptclError):
     pass
 
 
@@ -81,41 +82,31 @@ def ce_stage2(head_w, head_b, cls_features, label_idx) -> ad.Tensor:
     return _nll(ad.log_softmax(head_logits(head_w, head_b, feats)), label_idx)
 
 
-def _prompt_rows(prompts) -> ad.Tensor | None:
-    """Prompts as one (n, ...) tensor: a Tensor as is, a list stacked; None
-    when there are none."""
-    if isinstance(prompts, ad.Tensor):
-        return prompts if prompts.shape[0] else None
-    return ad.stack(prompts, axis=0) if len(prompts) else None
-
-
 def ortho_first(current_prompts, past_prompts) -> ad.Tensor:
     """Sum over current x past pairs of |⟨p̂_{c'}, p̂_c⟩| (normalized prompts).
 
-    ``current_prompts``: a (C, d) Tensor or a list of (d,) prompts;
-    ``past_prompts``: a list of (d,) arrays.
+    ``current_prompts``: a (C, d) Tensor; ``past_prompts``: a list of (d,)
+    arrays.
     """
-    cur = _prompt_rows(current_prompts)
-    if cur is None or len(past_prompts) == 0:
+    if len(past_prompts) == 0:
         return ad.constant(0.0)
     pn = ad.l2_normalize(ad.constant(np.stack(past_prompts))).data
-    sims = ad.matmul(ad.l2_normalize(cur), ad.constant(pn.T))             # (C, P)
+    sims = ad.matmul(ad.l2_normalize(current_prompts), ad.constant(pn.T))  # (C, P)
     return ad.rsum(ad.absolute(sims))
 
 
 def ortho_second(current_qs, past_qs) -> ad.Tensor:
     """Per-layer average of the pairwise penalty over second-level prompts.
 
-    ``current_qs``: a (C, L, ...) Tensor or a list of (L, ...) prompts;
-    ``past_qs``: a list of matching (L, ...) arrays.
+    ``current_qs``: a (C, L, ...) Tensor; ``past_qs``: a list of matching
+    (L, ...) arrays.
     """
-    cur = _prompt_rows(current_qs)
-    if cur is None or len(past_qs) == 0:
+    if len(past_qs) == 0:
         return ad.constant(0.0)
-    C, L = cur.shape[:2]
+    C, L = current_qs.shape[:2]
     past = np.stack(past_qs)
     pn = ad.l2_normalize(ad.constant(past.reshape(len(past), L, -1))).data  # (P, L, k)
-    qn = ad.swapaxes(ad.l2_normalize(ad.reshape(cur, (C, L, -1))), 0, 1)    # (L, C, k)
+    qn = ad.swapaxes(ad.l2_normalize(ad.reshape(current_qs, (C, L, -1))), 0, 1)  # (L, C, k)
     sims = ad.matmul(qn, ad.constant(pn.transpose(1, 2, 0)))                 # (L, C, P)
     return ad.scale(ad.rsum(ad.absolute(sims)), 1.0 / L)
 

@@ -3,7 +3,9 @@
 The accuracy matrix a[t][j] holds test accuracy on task j measured after
 training task t (lower-triangular). Final average accuracy is the mean of
 the last row; final forgetting is the mean, over non-final tasks, of the
-best earlier accuracy minus the final one.
+best earlier accuracy minus the final one, with each drop clamped at 0 so a
+task that improved counts as forgetting nothing. The standard definition
+(Chaudhry et al., 2018) does not clamp.
 """
 
 import csv
@@ -12,8 +14,10 @@ import os
 
 import numpy as np
 
+from . import PromptclError
 
-class MetricError(ValueError):
+
+class MetricError(PromptclError):
     pass
 
 
@@ -93,27 +97,45 @@ def matrix_rows(matrix: AccuracyMatrix):
     return rows
 
 
+def summarize(per_seed) -> dict:
+    """Per-seed FAA and, where a matrix spans more than one task, final
+    forgetting, each with its mean and std across seeds.
+
+    ``per_seed``: dict seed -> AccuracyMatrix.
+    """
+    seeds = sorted(per_seed)
+    faas = [faa(per_seed[s]) for s in seeds]
+    summary = {"seeds": seeds,
+               "faa_per_seed": {str(s): v for s, v in zip(seeds, faas)},
+               "faa_mean": float(np.mean(faas)),
+               "faa_std": float(np.std(faas))}
+    multi = [s for s in seeds if per_seed[s].num_tasks > 1]
+    if multi:
+        ffs = [final_forgetting(per_seed[s]) for s in multi]
+        summary["ff_per_seed"] = {str(s): v for s, v in zip(multi, ffs)}
+        summary["ff_mean"] = float(np.mean(ffs))
+        summary["ff_std"] = float(np.std(ffs))
+    return summary
+
+
 def report(out_dir, per_seed, confusions=None, extras=None):
-    """Write per-seed accuracy matrices, confusion CSVs, and a JSON summary.
+    """Write per-seed accuracy matrices, confusion CSVs, and a JSON summary
+    (``summarize`` plus ``extras``).
 
     ``per_seed``: dict seed -> AccuracyMatrix. ``confusions``: optional dict
-    seed -> (owner array unused) confusion matrix. Returns written paths.
+    seed -> confusion matrix. Returns written paths.
     """
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
         raise MetricError(f"cannot create output dir {out_dir}: {exc}") from exc
     paths = []
-    faas, ffs = {}, {}
     for seed in sorted(per_seed):
         matrix = per_seed[seed]
         header = ["after_task"] + [f"task_{j}" for j in range(matrix.num_tasks)]
         path = os.path.join(out_dir, f"accuracy_seed{seed}.csv")
         _write_csv(path, header, matrix_rows(matrix))
         paths.append(path)
-        faas[seed] = faa(matrix)
-        if matrix.num_tasks > 1:
-            ffs[seed] = final_forgetting(matrix)
     if confusions:
         for seed in sorted(confusions):
             C = confusions[seed]
@@ -122,18 +144,7 @@ def report(out_dir, per_seed, confusions=None, extras=None):
             path = os.path.join(out_dir, f"confusion_seed{seed}.csv")
             _write_csv(path, header, rows)
             paths.append(path)
-    fvals = [faas[s] for s in sorted(faas)]
-    summary = {
-        "seeds": sorted(per_seed),
-        "faa_per_seed": {str(s): faas[s] for s in sorted(faas)},
-        "faa_mean": float(np.mean(fvals)),
-        "faa_std": float(np.std(fvals)),
-    }
-    if ffs:
-        gvals = [ffs[s] for s in sorted(ffs)]
-        summary["ff_per_seed"] = {str(s): ffs[s] for s in sorted(ffs)}
-        summary["ff_mean"] = float(np.mean(gvals))
-        summary["ff_std"] = float(np.std(gvals))
+    summary = summarize(per_seed)
     if extras:
         summary.update(extras)
     spath = os.path.join(out_dir, "summary.json")

@@ -5,10 +5,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import PromptclError
 from . import autodiff as ad
 
 
-class GradientError(ValueError):
+class GradientError(PromptclError):
     """Raised when a gradient is unusable (NaN/Inf or shape mismatch)."""
 
 

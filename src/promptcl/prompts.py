@@ -10,6 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import PromptclError
 from . import autodiff as ad
 from .encoders import FrozenStack, text_encode
 from .featureio import read_archive, write_archive
@@ -20,7 +21,7 @@ CODEBOOK_MAGIC = b"STARCDBK"
 PROMPT_INIT_STD = 0.02
 
 
-class CodebookError(ValueError):
+class CodebookError(PromptclError):
     pass
 
 
@@ -90,9 +91,9 @@ def key_tensor(books: Codebooks, stack: FrozenStack, class_embeds: dict, cids,
 
 @dataclass
 class Selection:
-    class_id: int | np.ndarray   # (b,) ids for a (b, d) query batch
-    sim: float | np.ndarray      # (b,)
-    sims: np.ndarray             # over the key class ids, ascending order; (b, C)
+    class_id: np.ndarray   # (b,) ids for a (b, d) query batch
+    sim: np.ndarray        # (b,)
+    sims: np.ndarray       # over the key class ids, ascending order; (b, C)
 
 
 def select(keys: PrototypeKeys, z, A: dict | None = None) -> Selection:
@@ -100,7 +101,8 @@ def select(keys: PrototypeKeys, z, A: dict | None = None) -> Selection:
 
     The query is reweighted per class (z * A_c) and re-normalized so the
     similarity stays a bounded cosine; a zero-norm query maps to similarity 0.
-    Exact ties go to the lowest class index. A (d,) query gives scalars.
+    Exact ties go to the lowest class index. Works over any leading axes of
+    ``z``: a (d,) query gives 0-d results.
     """
     ids = keys.class_ids()
     if not ids:
@@ -117,10 +119,9 @@ def select(keys: PrototypeKeys, z, A: dict | None = None) -> Selection:
     q = np.where(ok, q / np.where(ok, n, 1.0), 0.0)
     sims = np.vecdot(q, K).astype(np.float32)
     best = np.argmax(sims, axis=-1)  # argmax returns the first (lowest-id) maximum
-    if z.ndim == 1:
-        return Selection(class_id=ids[best], sim=float(sims[best]), sims=sims)
     return Selection(class_id=np.asarray(ids)[best],
-                     sim=np.take_along_axis(sims, best[:, None], axis=-1)[:, 0], sims=sims)
+                     sim=np.take_along_axis(sims, best[..., None], axis=-1)[..., 0],
+                     sims=sims)
 
 
 def weighted_similarity(z, A, w) -> ad.Tensor:
@@ -136,13 +137,8 @@ def build_residual(Q, sim) -> ad.Tensor:
     """Per-layer residual sim * Q[l]; row-wise for a (b, ...) batch of Q with
     a (b,) vector of sims."""
     Q = Q if isinstance(Q, ad.Tensor) else ad.constant(Q)
-    if not isinstance(sim, ad.Tensor):
-        if np.ndim(sim) == 0:
-            return ad.scale(Q, float(sim))
-        sim = ad.constant(sim)
-    if sim.ndim:
-        sim = ad.reshape(sim, sim.shape + (1,) * (Q.ndim - sim.ndim))
-    return ad.mul(Q, sim)
+    sim = sim if isinstance(sim, ad.Tensor) else ad.constant(sim)
+    return ad.mul(Q, ad.reshape(sim, sim.shape + (1,) * (Q.ndim - sim.ndim)))
 
 
 # ---------------------------------------------------------------------------

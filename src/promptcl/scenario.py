@@ -8,13 +8,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import featureio
+from . import PromptclError, featureio
 from .rng import Rng
 
 KINDS = ("separable-clusters", "bimodal-clusters", "feature-file")
 
 
-class ScenarioError(ValueError):
+class ScenarioError(PromptclError):
     pass
 
 
@@ -155,25 +155,23 @@ def generate_scenario(spec: ScenarioSpec) -> TaskStream:
     return _synthetic_stream(spec)
 
 
-def permute_classes(stream: TaskStream, seed: int) -> TaskStream:
-    """Reassign classes to tasks under a seeded permutation of class ids.
+def regroup(stream: TaskStream, groups) -> TaskStream:
+    """Rebuild ``stream`` with task t holding the classes ``groups[t]``.
 
-    Sample data stays attached to its class; only the grouping of classes
-    into tasks (and hence the task order in which they appear) changes.
+    Each class keeps its own train and test samples; only the grouping of
+    classes into tasks (and hence the order they appear in) changes.
     """
-    all_cids = sorted(stream.class_names)
-    perm = [all_cids[i] for i in Rng(seed).child("class-order").permutation(len(all_cids))]
     by_class = {}
     for task in stream.tasks:
         for cid in task.class_ids:
-            tr = task.train_x[task.train_y == cid]
-            te = task.test_x[task.test_y == cid]
-            by_class[cid] = (tr, te)
+            by_class[cid] = (task.train_x[task.train_y == cid],
+                             task.test_x[task.test_y == cid])
+    missing = sorted(c for cids in groups for c in cids if c not in by_class)
+    if missing:
+        raise ScenarioError(f"stream lacks test samples for classes {missing}")
     out = TaskStream(class_names=dict(stream.class_names),
                      feature_space=stream.feature_space)
-    per_task = len(stream.tasks[0].class_ids)
-    for t, task in enumerate(stream.tasks):
-        cids = perm[t * per_task:(t + 1) * per_task]
+    for t, cids in enumerate(groups):
         tr_x = np.concatenate([by_class[c][0] for c in cids])
         te_x = np.concatenate([by_class[c][1] for c in cids])
         tr_y = np.concatenate([np.full(len(by_class[c][0]), c, np.int64) for c in cids])
@@ -182,3 +180,12 @@ def permute_classes(stream: TaskStream, seed: int) -> TaskStream:
                               train_x=tr_x, train_y=tr_y,
                               test_x=te_x, test_y=te_y))
     return out
+
+
+def permute_classes(stream: TaskStream, seed: int) -> TaskStream:
+    """Reassign classes to tasks under a seeded permutation of class ids."""
+    all_cids = sorted(stream.class_names)
+    perm = [all_cids[i] for i in Rng(seed).child("class-order").permutation(len(all_cids))]
+    per_task = len(stream.tasks[0].class_ids)
+    return regroup(stream, [perm[t * per_task:(t + 1) * per_task]
+                            for t in range(len(stream.tasks))])

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import PromptclError
 from . import autodiff as ad
 from . import gmm
 from . import losses as ls
@@ -30,7 +31,7 @@ VARIANTS = ("first_level_only", "no_first_level", "prefix_tuning",
 PREFIX_TOKENS = 5
 
 
-class TrainerError(ValueError):
+class TrainerError(PromptclError):
     pass
 
 
@@ -362,23 +363,15 @@ def train_task(state: TrainerState, task: Task, hp: Hyperparams,
 # inference
 
 
-def _encode_queries(state: TrainerState, x):
-    """Token grids and visual queries of ``x``, both with a batch axis."""
+def predict_batch(state: TrainerState, x):
+    """Task-agnostic prediction for a batch of queries: (class ids, logits
+    over all seen classes, selected key class per query)."""
     if state.current_task < 0:
         raise TrainerError("predict before any task was trained")
     raw = _raw_inputs(state, x)
-    z = vision_encode(state.stack, raw)
-    if z.ndim == 1:
-        z = z[None]
-        raw = raw[None]
-    return raw, z
-
-
-def predict_batch(state: TrainerState, x):
-    """Task-agnostic prediction: (class ids, logits over all seen classes,
-    selected key class per query)."""
-    raw, z = _encode_queries(state, x)
-    sel = _select_batch(state, z)
+    if raw.ndim != 3:
+        raise TrainerError(f"predict_batch takes a batch of inputs, got shape {np.shape(x)}")
+    sel = _select_batch(state, vision_encode(state.stack, raw))
     chosen = sel.class_id.tolist()
     if state.variant == "first_level_only":
         # classify straight from the key posteriors
@@ -401,13 +394,6 @@ def predict_batch(state: TrainerState, x):
 def evaluate(state: TrainerState, task: Task) -> float:
     preds, _, _ = predict_batch(state, task.test_x)
     return float(np.mean(np.asarray(preds) == task.test_y))
-
-
-def selected_classes(state: TrainerState, x):
-    """The key class each query selects, as ``predict_batch`` reports it,
-    without running the conditioned ViT or the heads."""
-    _, z = _encode_queries(state, x)
-    return _select_batch(state, z).class_id.tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -82,6 +82,12 @@ def test_nonfinite_input_rejected():
         ad.Tensor([np.nan, 1.0])
 
 
+def test_nonfinite_output_names_the_op():
+    # exp(1e4) overflows float32: the op that produced the inf is named
+    with np.errstate(over="ignore"), pytest.raises(ad.NonFiniteError, match="'exp'"):
+        ad.exp(ad.Tensor([1e4, 0.0]))
+
+
 def _random_graph(rng: Rng, params, depth):
     """A deterministic random composition of the primitive set."""
     x = params["x"]

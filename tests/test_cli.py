@@ -201,3 +201,51 @@ def test_ablate_writes_one_row_per_variant(tmp_path):
          "no_replay", "unimodal", "no_conf_mod"])
     for row in rows[1:]:
         assert 0.0 <= float(row[1]) <= 1.0
+
+
+def test_run_truncated_feature_file_prints_error(tmp_path, capsys):
+    from promptcl import featureio
+    feats = tmp_path / "feats.bin"
+    featureio.write_feature_file(feats, np.ones((8, 16), np.float32),
+                                 np.repeat(np.arange(4, dtype=np.uint32), 2))
+    feats.write_bytes(feats.read_bytes()[:-5])
+    cfg = write_cfg(tmp_path, kind="feature-file", feature_path=feats)
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "feats.bin" in err
+
+
+def test_diag_bad_inputs_print_error(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, E1=1, E2=1)
+    out = str(tmp_path / "run")
+    assert cli.main(["run", cfg, "--out", out, "--seed", "3", "--checkpoint"]) == 0
+    ckpt = tmp_path / "run" / "ckpt_seed3"
+    capsys.readouterr()
+    # a stream without the checkpoint's later classes
+    one_task = write_cfg(tmp_path, name="one.cfg", num_tasks=1)
+    assert cli.main(["diag", str(ckpt), one_task, "--out", str(tmp_path / "d")]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: stream lacks test samples for classes")
+    books = ckpt / "codebooks.bin"
+    books.write_bytes(books.read_bytes()[:-3])
+    assert cli.main(["diag", str(ckpt), cfg, "--out", str(tmp_path / "d")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "codebooks.bin" in err
+
+
+def test_run_encodes_each_test_set_once_per_evaluation(monkeypatch):
+    # T trainings plus T(T+1)/2 evaluations: accuracy, first-task precision
+    # and the retrieval confusion all come from the same prediction pass
+    encoded = []
+    real = tr.vision_encode
+    monkeypatch.setattr(tr, "vision_encode",
+                        lambda stack, x: encoded.append(len(x)) or real(stack, x))
+    config = cli.build_experiment({
+        "num_tasks": 2, "classes_per_task": 2, "train_per_class": 4,
+        "test_per_class": 2, "d": 16, "d_prime": 32, "L": 2, "heads": 2,
+        "seq_len": 5, "patch_dim": 8, "E1": 1, "E2": 1, "n_replay": 4,
+        "seeds": [3]})
+    report = cli.run_experiment(config, write=False)
+    assert encoded == [8, 4, 8, 4, 4]
+    assert len(report.precision_curves[3]) == 2
+    assert report.confusions[3].shape == (2, 2)

@@ -42,9 +42,10 @@ def test_text_encode_contracts():
     stack = enc.build_stack(cfg, 7)
     emb_dog = enc.class_name_embed("dog", cfg)
     emb_cat = enc.class_name_embed("cat", cfg)
-    p = Rng(1).normal((cfg.d,), std=0.02)
-    w_dog = enc.text_encode(stack, p, emb_dog)
-    w_cat = enc.text_encode(stack, p, emb_cat)
+    p = Rng(1).normal((1, cfg.d), std=0.02)
+    w_dog = enc.text_encode(stack, p, [emb_dog])
+    w_cat = enc.text_encode(stack, p, [emb_cat])
+    assert w_dog.shape == (1, cfg.d)
     assert abs(np.linalg.norm(w_dog.data) - 1.0) < 1e-6
     assert not np.allclose(w_dog.data, w_cat.data)
 
@@ -53,15 +54,15 @@ def test_text_encode_grad_matches_finite_differences():
     cfg = small_config()
     stack = enc.build_stack(cfg, 7)
     emb = enc.class_name_embed("dog", cfg)
-    target = Rng(2).normal((cfg.d,), dtype=np.float64)
+    target = Rng(2).normal((1, cfg.d), dtype=np.float64)
 
     def fn(t):
-        w = enc.text_encode(stack, t["p"], emb)
+        w = enc.text_encode(stack, t["p"], [emb])
         return ad.rsum(ad.mul(w, ad.constant(target)))
 
     # h=1e-4: the 0.02-scale prompt goes through a small-std layer_norm, so
     # the default step is dominated by truncation error.
-    report = grad_check(fn, {"p": Rng(3).normal((cfg.d,), std=0.02, dtype=np.float64)},
+    report = grad_check(fn, {"p": Rng(3).normal((1, cfg.d), std=0.02, dtype=np.float64)},
                         tol=1e-4, h=1e-4)
     assert report.passed, report.max_rel_err
 
@@ -179,8 +180,8 @@ def test_text_encode_batch_rows_equal_single_calls():
     keys = enc.text_encode(stack, prompts, embeds)
     assert keys.shape == (5, cfg.d)
     for i in range(5):
-        single = enc.text_encode(stack, prompts[i], embeds[i])
-        assert keys.data[i].tobytes() == single.data.tobytes()
+        single = enc.text_encode(stack, prompts[i:i + 1], embeds[i:i + 1])
+        assert keys.data[i].tobytes() == single.data[0].tobytes()
     with pytest.raises(ad.ShapeError):
         enc.text_encode(stack, prompts, embeds[:4])
 

@@ -73,23 +73,23 @@ def test_ce_stage2_duplicate_task_head_rejected():
 
 
 def test_ortho_first_cases():
-    assert ls.ortho_first([ad.Tensor([1.0, 0.0])], []).item() == 0.0
-    cur = [ad.Tensor([0.0, 1.0], requires_grad=True)]
+    assert ls.ortho_first(ad.Tensor([[1.0, 0.0]]), []).item() == 0.0
+    cur = ad.Tensor([[0.0, 1.0]], requires_grad=True)
     past = [np.array([1.0, 0.0], np.float32)]
     assert abs(ls.ortho_first(cur, past).item()) < 1e-6
-    cur = [ad.Tensor([0.6, 0.8], requires_grad=True)]
+    cur = ad.Tensor([[0.6, 0.8]], requires_grad=True)
     loss = ls.ortho_first(cur, past)
     assert abs(loss.item() - 0.6) < 1e-6
     loss.backward()
-    assert cur[0].grad is not None
+    assert cur.grad is not None
 
 
 def test_ortho_second_cases():
     L, dp = 2, 4
-    zero_q = [ad.Tensor(np.zeros((L, dp), np.float32), requires_grad=True)]
+    zero_q = ad.Tensor(np.zeros((1, L, dp), np.float32), requires_grad=True)
     past = [Rng(3).normal((L, dp))]
     assert abs(ls.ortho_second(zero_q, past).item()) < 1e-6
-    assert ls.ortho_second([ad.Tensor(np.ones((L, dp)))], []).item() == 0.0
+    assert ls.ortho_second(ad.Tensor(np.ones((1, L, dp))), []).item() == 0.0
 
     # per-layer hand values 0.6 and 0.2 -> average 0.4
     cur_q = np.zeros((2, 2), np.float32)
@@ -98,7 +98,7 @@ def test_ortho_second_cases():
     past_q = np.zeros((2, 2), np.float32)
     past_q[0] = [1.0, 0.0]
     past_q[1] = [1.0, 0.0]
-    loss = ls.ortho_second([ad.Tensor(cur_q)], [past_q])
+    loss = ls.ortho_second(ad.Tensor(cur_q[None]), [past_q])
     assert abs(loss.item() - 0.4) < 1e-5
 
 
@@ -113,7 +113,7 @@ def test_ortho_batched_matches_pairwise_loop():
     want_second = sum(np.abs((unit(c) * unit(p)).sum(-1)).sum()
                       for c in cur_q for p in past_q) / 2
     got_first = ls.ortho_first(ad.Tensor(cur_p, requires_grad=True), past_p).item()
-    got_second = ls.ortho_second([ad.Tensor(q) for q in cur_q], past_q).item()
+    got_second = ls.ortho_second(ad.Tensor(cur_q), past_q).item()
     assert abs(got_first - want_first) < 1e-5 * max(1.0, want_first)
     assert abs(got_second - want_second) < 1e-5 * max(1.0, want_second)
 

@@ -208,7 +208,7 @@ def test_prefix_zero_value_prompts_contribute_nothing():
     expected = plain_att * scale[:, None]
 
     prefix = np.zeros((cfg.L, 2 * n_tok, cfg.d_prime), np.float32)
-    out = enc.vit_forward(stack, x, prefix=prefix)
+    out = enc.vit_forward(stack, x, prefix=prefix[None])
     plain = enc.vit_forward(stack, x)
     # reproduce vit internals for the prefixed block-0 attention context
     got_ctx = (np.concatenate([zexp, scores], axis=1)

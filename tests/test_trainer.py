@@ -113,17 +113,8 @@ def test_predict_untrained_errors_and_logit_width():
     state = run_stream(stream)
     _, logits, _ = tr.predict_batch(state, stream.tasks[0].test_x)
     assert logits.shape[1] == 6  # tasks of sizes 2,2,2
-
-
-@pytest.mark.parametrize("variant", [None, "first_level_only"])
-def test_selected_classes_match_predict_batch(variant):
-    stream = small_stream(num_tasks=2)
-    state = run_stream(stream, variant=variant)
-    for task in stream.tasks:
-        chosen = tr.selected_classes(state, task.test_x)
-        assert chosen == tr.predict_batch(state, task.test_x)[2]
-    one = stream.tasks[1].test_x[0]
-    assert tr.selected_classes(state, one) == tr.predict_batch(state, one)[2]
+    with pytest.raises(tr.TrainerError, match="batch"):
+        tr.predict_batch(state, stream.tasks[0].test_x[0])
 
 
 def test_conditioned_cls_rows_equal_single_sample_forwards():
