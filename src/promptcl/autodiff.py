@@ -8,6 +8,7 @@ feed layer_norm are accumulated in float64 regardless.
 from __future__ import annotations
 
 import contextlib
+import math
 
 import numpy as np
 from scipy.special import erf
@@ -178,6 +179,104 @@ def _check_broadcast(a, b, op):
 
 
 # ---------------------------------------------------------------------------
+# numerics shared by the primitives and the fused block
+
+# Eigen's generic_fast_erf_float (also XLA's float32 erf): an odd degree-13
+# numerator over an even degree-8 denominator, highest power first
+_ERF_ALPHA = np.array([-2.72614225801306e-10, 2.77068142495902e-08, -2.10102402082508e-06,
+                       -5.69250639462346e-05, -7.34990630326855e-04, -2.95459980854025e-03,
+                       -1.60960333262415e-02], dtype=np.float32)
+_ERF_BETA = np.array([-1.45660718464996e-05, -2.13374055278905e-04, -1.68282697438203e-03,
+                      -7.37332916720468e-03, -1.42647390514189e-02], dtype=np.float32)
+
+
+_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+
+
+def _horner(x2, coeffs, out):
+    p = np.multiply(x2, coeffs[0], out=out)
+    p += coeffs[1]
+    for c in coeffs[2:]:
+        p *= x2
+        p += c
+    return p
+
+
+def erf32(x):
+    """float32 erf as a rational function, computed in place: ``x`` is
+    overwritten with the result. Inputs are clamped to +-4, past which float32
+    erf is +-1; the absolute error is below 5e-7 everywhere."""
+    np.clip(x, -4.0, 4.0, out=x)
+    x2 = x * x
+    p = _horner(x2, _ERF_ALPHA, None)
+    p *= x
+    return np.divide(p, _horner(x2, _ERF_BETA, out=x), out=x)
+
+
+def _gelu_forward(x, with_slope):
+    """(gelu(x), d gelu/dx or None), leaving ``x`` untouched. float32 uses
+    ``erf32``; float64, the oracle dtype, scipy's erf."""
+    phi = np.divide(x, np.sqrt(2.0, dtype=x.dtype), out=np.empty_like(x))
+    phi = erf32(phi) if x.dtype == np.float32 else erf(phi, out=phi)
+    phi += 1.0
+    phi *= 0.5
+    out = x * phi
+    if not with_slope:
+        return out, None
+    slope = np.square(x)  # Phi(x) + x * pdf(x)
+    slope *= -0.5
+    np.exp(slope, out=slope)
+    slope *= x
+    slope *= _INV_SQRT_2PI
+    slope += phi
+    return out, slope
+
+
+def _layer_norm_forward(x, eps=1e-5):
+    """(y, std) of a scale-1 shift-0 layer norm over the last axis; float64
+    statistics, results in x's dtype."""
+    xc = x.astype(np.float64)
+    xc -= xc.mean(axis=-1, keepdims=True)
+    root = np.sqrt(np.square(xc).mean(axis=-1, keepdims=True) + eps)
+    xc /= root
+    return xc.astype(x.dtype), root.astype(x.dtype)
+
+
+def _layer_norm_backward(g, y, std):
+    gy = (g * y).mean(axis=-1, keepdims=True)
+    out = g - g.mean(axis=-1, keepdims=True)
+    out -= y * gy
+    out /= std
+    return out
+
+
+def _softmax_forward(x):
+    e = x - x.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
+
+
+def _softmax_backward(g, s):
+    out = g - (g * s).sum(axis=-1, keepdims=True)
+    out *= s
+    return out
+
+
+def _dense(x, w):
+    """``x @ w`` for a 2-D ``w`` as one BLAS call over all leading axes."""
+    return (x.reshape(-1, x.shape[-1]) @ w).reshape(x.shape[:-1] + w.shape[-1:])
+
+
+def _affine(x, w, b):
+    """``x @ w + b`` with one product per sample, unlike ``_dense``: a
+    forward row's bits then do not depend on the batch it came in."""
+    out = np.matmul(x, w)
+    out += b
+    return out
+
+
+# ---------------------------------------------------------------------------
 # primitives
 
 
@@ -241,43 +340,30 @@ def matmul(a, b):
 
 
 def gelu(a):
-    x = a.data
-    phi = 0.5 * (1.0 + erf(x / np.sqrt(2.0, dtype=x.dtype)))
-    out = (x * phi).astype(x.dtype)
+    out, slope = _gelu_forward(a.data, with_slope=True)
 
     def backward(g):
-        pdf = np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
-        return (g * (phi + x * pdf),)
+        return (g * slope,)
 
     return _make(out, (a,), backward, "gelu")
 
 
 def layer_norm(a, eps=1e-5):
     """Per-row (last axis) normalization, scale=1 shift=0, float64 statistics."""
-    x = a.data
-    mu = x.mean(axis=-1, keepdims=True, dtype=np.float64)
-    var = np.square(x.astype(np.float64) - mu).mean(axis=-1, keepdims=True)
-    std = np.sqrt(var + eps).astype(x.dtype)
-    y = ((x.astype(np.float64) - mu) / np.sqrt(var + eps)).astype(x.dtype)
+    y, std = _layer_norm_forward(a.data, eps)
 
     def backward(g):
-        gmean = g.mean(axis=-1, keepdims=True)
-        gy = (g * y).mean(axis=-1, keepdims=True)
-        return ((g - gmean - y * gy) / std,)
+        return (_layer_norm_backward(g, y, std),)
 
     return _make(y, (a,), backward, "layer_norm")
 
 
 def softmax(a):
     """Per-row softmax, max-subtracted."""
-    x = a.data
-    shifted = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    s = (e / e.sum(axis=-1, keepdims=True)).astype(x.dtype)
+    s = _softmax_forward(a.data)
 
     def backward(g):
-        dot = (g * s).sum(axis=-1, keepdims=True)
-        return (s * (g - dot),)
+        return (_softmax_backward(g, s),)
 
     return _make(s, (a,), backward, "softmax")
 
@@ -437,3 +523,84 @@ def slice_axis(a, axis, start, stop):
         return (full,)
 
     return _make(out.copy(), (a,), backward, "slice")
+
+
+def frozen_block(h, w, heads, residual=None, prefix_kv=None, cls_only=False):
+    """One pre-norm transformer block with frozen weights, as one graph node.
+
+    ``w`` maps ``wq bq wk bk wv bv wo bo w1 b1 w2 b2`` to constant arrays;
+    ``h`` is ``(..., n, D)``. ``residual`` is added to the post-attention
+    activation (before the MLP branch) and broadcasts against it.
+    ``prefix_kv`` ``(..., 2p, D)`` prepends its first p rows to the keys and
+    its last p rows to the values. With ``cls_only`` only row 0 is computed
+    and returned, ``(..., 1, D)``: the keys and values still see every token.
+    Gradients flow to ``h``, ``residual`` and ``prefix_kv``, never to ``w``.
+    """
+    parents = [t for t in (h, residual, prefix_kv) if t is not None]
+    need_h = h.requires_grad
+    need_res = residual is not None and residual.requires_grad
+    need_pre = prefix_kv is not None and prefix_kv.requires_grad
+    x = h.data
+    dim = x.shape[-1]
+    if dim % heads or w["wq"].shape[0] != dim:
+        raise ShapeError(f"frozen_block: width {dim} with {heads} heads, weights {w['wq'].shape}")
+    dh = dim // heads
+    nq = 1 if cls_only else x.shape[-2]
+    score_scale = np.asarray(1.0 / np.sqrt(dh), dtype=x.dtype)
+
+    def split(t):  # (..., m, D) -> (..., heads, m, dh)
+        return np.swapaxes(t.reshape(t.shape[:-1] + (heads, dh)), -3, -2)
+
+    def merge(t):  # (..., heads, m, dh) -> (..., m, D)
+        return np.swapaxes(t, -3, -2).reshape(t.shape[:-3] + (t.shape[-2], dim))
+
+    xn, std_h = _layer_norm_forward(x)
+    q = _affine(xn[..., :nq, :], w["wq"], w["bq"])
+    k = _affine(xn, w["wk"], w["bk"])
+    v = _affine(xn, w["wv"], w["bv"])
+    n_pre = 0
+    if prefix_kv is not None:
+        kv = prefix_kv.data
+        n_pre = kv.shape[-2] // 2
+        k = np.concatenate([kv[..., :n_pre, :], k], axis=-2)
+        v = np.concatenate([kv[..., n_pre:, :], v], axis=-2)
+    qh, kh, vh = split(q), split(k), split(v)
+    scores = np.matmul(qh, np.swapaxes(kh, -1, -2))
+    scores *= score_scale
+    probs = _softmax_forward(scores)
+    e = _affine(merge(np.matmul(probs, vh)), w["wo"], w["bo"])
+    e += x[..., :nq, :]
+    if residual is not None:
+        e = e + residual.data
+    yn, std_e = _layer_norm_forward(e)
+    act, slope = _gelu_forward(_affine(yn, w["w1"], w["b1"]),
+                               with_slope=need_h or need_res or need_pre)
+    out = _affine(act, w["w2"], w["b2"])
+    out += e
+
+    def backward(g):
+        g_act = _dense(g, w["w2"].T)
+        g_act *= slope
+        g_e = _layer_norm_backward(_dense(g_act, w["w1"].T), yn, std_e)
+        g_e += g
+        g_h = g_pre = None
+        g_res = _unbroadcast(g_e, residual.shape) if need_res else None
+        if need_h or need_pre:
+            g_ctx = split(_dense(g_e, w["wo"].T))
+            g_scores = _softmax_backward(np.matmul(g_ctx, np.swapaxes(vh, -1, -2)), probs)
+            g_scores *= score_scale
+            cols = slice(None) if need_h else slice(0, n_pre)  # key/value rows that need a gradient
+            g_k = merge(np.matmul(np.swapaxes(g_scores[..., cols], -1, -2), qh))
+            g_v = merge(np.matmul(np.swapaxes(probs[..., cols], -1, -2), g_ctx))
+            if need_pre:
+                g_pre = np.concatenate([g_k[..., :n_pre, :], g_v[..., :n_pre, :]], axis=-2)
+            if need_h:
+                g_xn = _dense(g_k[..., n_pre:, :], w["wk"].T)
+                g_xn += _dense(g_v[..., n_pre:, :], w["wv"].T)
+                g_xn[..., :nq, :] += _dense(merge(np.matmul(g_scores, kh)), w["wq"].T)
+                g_h = _layer_norm_backward(g_xn, xn, std_h)
+                g_h[..., :nq, :] += g_e
+        return tuple(g for t, g in ((h, g_h), (residual, g_res), (prefix_kv, g_pre))
+                     if t is not None)
+
+    return _make(out, parents, backward, "frozen_block")

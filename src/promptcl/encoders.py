@@ -152,36 +152,11 @@ def build_stack(config: EncoderConfig, seed: int) -> FrozenStack:
     )
 
 
-def _attention(blk, h, heads, residual=None, prefix_kv=None):
-    """One pre-norm transformer block; ``residual`` is added to the
-    post-attention activation (before the MLP branch)."""
-    c = ad.constant
-    x = ad.layer_norm(h)
-    q = ad.add(ad.matmul(x, c(blk["wq"])), c(blk["bq"]))
-    k = ad.add(ad.matmul(x, c(blk["wk"])), c(blk["bk"]))
-    v = ad.add(ad.matmul(x, c(blk["wv"])), c(blk["bv"]))
-    if prefix_kv is not None:
-        pk, pv = prefix_kv  # each (..., n_tok, dim), same leading dims as k/v
-        k = ad.concat([pk, k], axis=-2)
-        v = ad.concat([pv, v], axis=-2)
-    dim = q.shape[-1]
-    dh = dim // heads
-
-    def split_heads(t):  # (..., n, dim) -> (..., heads, n, dh)
-        return ad.swapaxes(ad.reshape(t, t.shape[:-1] + (heads, dh)), -3, -2)
-
-    qh, kh, vh = split_heads(q), split_heads(k), split_heads(v)
-    scores = ad.scale(ad.matmul(qh, ad.transpose_last2(kh)), 1.0 / np.sqrt(dh))
-    ctx = ad.swapaxes(ad.matmul(ad.softmax(scores), vh), -3, -2)
-    ctx = ad.reshape(ctx, q.shape)
-    msa = ad.add(ad.matmul(ctx, c(blk["wo"])), c(blk["bo"]))
-    e = ad.add(h, msa)
-    if residual is not None:
-        e = ad.add(e, residual)
-    y = ad.layer_norm(e)
-    mlp = ad.add(ad.matmul(ad.gelu(ad.add(ad.matmul(y, c(blk["w1"])), c(blk["b1"]))),
-                           c(blk["w2"])), c(blk["b2"]))
-    return ad.add(e, mlp)
+def _attention(blk, h, heads, residual=None, prefix_kv=None, cls_only=False):
+    """One pre-norm transformer block with frozen weights ``blk``, fused into
+    one graph node; ``residual`` is added to the post-attention activation
+    (before the MLP branch). With ``cls_only`` only the CLS row is computed."""
+    return ad.frozen_block(h, blk, heads, residual, prefix_kv, cls_only)
 
 
 def text_encode(stack: FrozenStack, prompt_token, class_embed):
@@ -226,8 +201,8 @@ def vision_encode(stack: FrozenStack, x) -> np.ndarray:
     cls = np.broadcast_to(stack.vis_cls, x.shape[:-2] + (1, cfg.d))
     tokens = np.concatenate([cls, emb], axis=-2) + stack.vis_pos
     h = ad.constant(tokens)
-    for blk in stack.vis_blocks:
-        h = _attention(blk, h, cfg.clip_heads)
+    for i, blk in enumerate(stack.vis_blocks):
+        h = _attention(blk, h, cfg.clip_heads, cls_only=i == len(stack.vis_blocks) - 1)
     cls_out = h.data[..., 0, :] @ stack.vis_out
     return ad.l2_normalize(ad.constant(cls_out)).data
 
@@ -257,7 +232,8 @@ def vit_forward(stack: FrozenStack, x=None, residuals=None, tokens=None,
     row l is added (broadcast across token positions) to the post-attention
     activation of block l. ``prefix``: Tensor (b, L, 2*n_tok, d') of per-layer
     key/value prompt tokens, used instead of residuals. Differentiable only
-    w.r.t. ``residuals`` / ``prefix``.
+    w.r.t. ``residuals`` / ``prefix``. The last block computes only the CLS
+    row; its keys and values still cover every token.
     """
     cfg = stack.config
     if tokens is None:
@@ -286,20 +262,12 @@ def vit_forward(stack: FrozenStack, x=None, residuals=None, tokens=None,
 
     h = ad.constant(tokens)
     for l, blk in enumerate(stack.main_blocks):
-        res_l = None
-        pre_l = None
+        res_l = pre_l = None
         if residuals is not None:
             res_l = ad.slice_axis(residuals, 1, l, l + 1)  # (b, 1, d') broadcasts over tokens
         if prefix is not None:
-            layer = ad.slice_axis(prefix, 1, l, l + 1)
-            n2 = layer.shape[2]
-            layer = ad.reshape(layer, (layer.shape[0], n2, cfg.d_prime))
-            pk = ad.slice_axis(layer, 1, 0, n2 // 2)
-            pv = ad.slice_axis(layer, 1, n2 // 2, n2)
-            pre_l = (pk, pv)
-        h = _attention(blk, h, cfg.heads, residual=res_l, prefix_kv=pre_l)
-    cls_out = ad.slice_axis(h, 1, 0, 1)
-    cls_out = ad.reshape(cls_out, (b, cfg.d_prime))
-    if squeeze:
-        cls_out = ad.reshape(cls_out, (cfg.d_prime,))
-    return cls_out
+            layer = ad.slice_axis(prefix, 1, l, l + 1)  # (b, 1, 2*n_tok, d')
+            pre_l = ad.reshape(layer, (layer.shape[0],) + layer.shape[2:])
+        h = _attention(blk, h, cfg.heads, residual=res_l, prefix_kv=pre_l,
+                       cls_only=l == cfg.L - 1)
+    return ad.reshape(h, (cfg.d_prime,) if squeeze else (b, cfg.d_prime))

@@ -144,11 +144,8 @@ def sample(mog: MoG, n: int, rng: Rng) -> np.ndarray:
     if n < 1:
         raise FitError("n must be >= 1")
     comps = rng.choice(mog.m, size=n, p=mog.weights / mog.weights.sum())
-    out = np.empty((n, mog.dim))
     eps = rng.normal((n, mog.dim), dtype=np.float64)
-    for i, k in enumerate(comps):
-        out[i] = mog.means[k] + np.sqrt(mog.covs[k]) * eps[i]
-    return out.astype(np.float32)
+    return (mog.means[comps] + np.sqrt(mog.covs[comps]) * eps).astype(np.float32)
 
 
 # ---------------------------------------------------------------------------

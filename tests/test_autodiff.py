@@ -88,6 +88,42 @@ def test_nonfinite_output_names_the_op():
         ad.exp(ad.Tensor([1e4, 0.0]))
 
 
+def test_erf32_accuracy_odd_and_finite():
+    from scipy.special import erf
+
+    grid = np.concatenate([np.linspace(-6, 6, 1_200_001, dtype=np.float32),
+                           np.float32([0.0, -0.0, 4.0, -4.0, 1e30, -1e30])])
+    got = ad.erf32(grid.copy())
+    assert np.isfinite(got).all()
+    assert np.abs(got - erf(grid.astype(np.float64))).max() < 5e-7
+    assert np.array_equal(ad.erf32(-grid), -got)
+
+
+@pytest.mark.parametrize("cls_only", [False, True])
+@pytest.mark.parametrize("cond", ["residual", "prefix"])
+def test_frozen_block_grads_match_finite_differences(cls_only, cond):
+    from promptcl.encoders import EncoderConfig, build_stack
+    from promptcl.optim import grad_check
+
+    blk = build_stack(EncoderConfig(d=8, d_prime=8, L=1, heads=2, seq_len=4, patch_dim=4),
+                      5).main_blocks[0]
+    rng = Rng(6)
+    params = {"h": rng.normal((2, 4, 8), dtype=np.float64)}
+    if cond == "residual":
+        params["c"] = rng.normal((2, 1, 8), std=0.3, dtype=np.float64)
+    else:
+        params["c"] = rng.normal((2, 4, 8), std=0.5, dtype=np.float64)
+    probe = rng.normal((2, 1 if cls_only else 4, 8), dtype=np.float64)
+
+    def fn(t):
+        kw = {"residual": t["c"]} if cond == "residual" else {"prefix_kv": t["c"]}
+        out = ad.frozen_block(t["h"], blk, 2, cls_only=cls_only, **kw)
+        return ad.rsum(ad.mul(out, ad.constant(probe)))
+
+    report = grad_check(fn, params, tol=1e-6, h=1e-5)
+    assert report.passed, report.per_param
+
+
 def _random_graph(rng: Rng, params, depth):
     """A deterministic random composition of the primitive set."""
     x = params["x"]

@@ -116,8 +116,9 @@ def test_vit_residual_grad_matches_finite_differences():
     assert report.passed, report.max_rel_err
 
 
-def _reference_forward(stack, tokens, residuals=None):
-    """Independent plain-numpy forward pass (the oracle)."""
+def _reference_forward(stack, tokens, residuals=None, prefix=None):
+    """Independent plain-numpy forward pass (the oracle). ``prefix`` (L, 2n, d')
+    holds each layer's n key rows, then its n value rows."""
     cfg = stack.config
 
     def ln(x):
@@ -129,6 +130,10 @@ def _reference_forward(stack, tokens, residuals=None):
     for l, blk in enumerate(stack.main_blocks):
         x = ln(h)
         q, k, v = x @ blk["wq"] + blk["bq"], x @ blk["wk"] + blk["bk"], x @ blk["wv"] + blk["bv"]
+        if prefix is not None:
+            n = prefix.shape[1] // 2
+            k = np.concatenate([prefix[l, :n], k])
+            v = np.concatenate([prefix[l, n:], v])
         dh = cfg.d_prime // cfg.heads
         parts = []
         for i in range(cfg.heads):
@@ -169,6 +174,18 @@ def test_vit_multihead_matches_reference_forward(with_residual):
     tokens = enc.embed_tokens(stack, x)
     expected = _reference_forward(stack, tokens, res)
     got = enc.vit_forward(stack, x, residuals=res)
+    np.testing.assert_allclose(got.data, expected, atol=1e-5)
+
+
+@pytest.mark.parametrize("heads", [1, 4])
+def test_vit_prefix_matches_reference_forward(heads):
+    cfg = enc.EncoderConfig(d=8, d_prime=8, L=2, heads=heads, seq_len=4, tau=0.05, patch_dim=6)
+    stack = enc.build_stack(cfg, 21)
+    x = Rng(11).normal((cfg.patches, cfg.patch_dim))
+    prefix = Rng(12).normal((cfg.L, 6, cfg.d_prime), std=0.5)
+    tokens = enc.embed_tokens(stack, x)
+    expected = _reference_forward(stack, tokens, prefix=prefix)
+    got = enc.vit_forward(stack, x, prefix=prefix[None])
     np.testing.assert_allclose(got.data, expected, atol=1e-5)
 
 

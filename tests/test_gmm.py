@@ -113,6 +113,22 @@ def test_zero_weight_component_never_drawn():
     assert np.max(np.abs(s)) < 10.0
 
 
+@pytest.mark.parametrize("m", [1, 2, 5])
+@pytest.mark.parametrize("d", [32, 64])
+@pytest.mark.parametrize("n", [1, 64, 256])
+def test_sample_bytes_match_per_row_formula(m, d, n):
+    rng = Rng(100 * m + d)
+    w = rng.uniform((m,), 0.1, 1.0, dtype=np.float64)
+    mog = gmm.MoG(weights=w / w.sum(), means=rng.normal((m, d), dtype=np.float64),
+                  covs=rng.uniform((m, d), 0.01, 2.0, dtype=np.float64))
+    got = gmm.sample(mog, n, Rng(n))
+    draws = Rng(n)  # the same two draws, in the same order, as sample makes
+    comps = draws.choice(m, size=n, p=mog.weights / mog.weights.sum())
+    eps = draws.normal((n, d), dtype=np.float64)
+    rows = [mog.means[k] + np.sqrt(mog.covs[k]) * eps[i] for i, k in enumerate(comps)]
+    assert got.tobytes() == np.array(rows).astype(np.float32).tobytes()
+
+
 def test_bank_round_trip(tmp_path):
     rng = Rng(12)
     bank = {c: gmm.fit_em(rng.normal((30, 4)).astype(np.float64), gmm.EMConfig(m=2, seed=c))

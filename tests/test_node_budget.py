@@ -42,6 +42,20 @@ def test_attention_nodes_do_not_grow_with_heads(count_nodes):
     assert counts[0] == counts[1]
 
 
+def test_vit_forward_builds_at_most_two_nodes_per_block(count_nodes):
+    counts = set()
+    for heads in (1, 4):
+        cfg = enc.EncoderConfig(d=8, d_prime=16, L=3, heads=heads, seq_len=5, patch_dim=6)
+        stack = enc.build_stack(cfg, 3)
+        for b in (2, 16):
+            rng = Rng(b)
+            x = rng.normal((b, cfg.patches, cfg.patch_dim))
+            res = ad.Tensor(rng.normal((b, cfg.L, cfg.d_prime)), requires_grad=True)
+            counts.add(count_nodes(lambda: enc.vit_forward(stack, x, residuals=res)))
+    assert len(counts) == 1
+    assert counts.pop() <= 2 * cfg.L + 2
+
+
 def test_ortho_nodes_do_not_grow_with_past_prompts(count_nodes):
     rng = Rng(2)
     cur_p = ad.Tensor(rng.normal((4, 8)), requires_grad=True)
