@@ -1,9 +1,16 @@
 """Dense float tensors with reverse-mode differentiation.
 
+The primitives are exactly the ops the program builds: ``add``, ``mul``,
+``scale``, ``absolute``, ``matmul``, the row ops ``log_softmax`` and
+``l2_normalize``, the reductions ``rsum`` and ``mean``, the shape ops
+``concat``, ``stack``, ``swapaxes``, ``reshape``, ``take`` and ``slice_axis``,
+and ``frozen_block``, a whole frozen transformer block as one node.
+``cli.gradcheck_suite`` composes this same set against finite differences.
+
 Graphs are built eagerly and single-threaded; ``backward`` walks the tape in
 reverse topological order exactly once. Storage defaults to float32 (switchable
-to float64 for finite-difference oracles via ``use_dtype``); statistics that
-feed layer_norm are accumulated in float64 regardless.
+to float64 for finite-difference oracles via ``use_dtype``); the layer-norm
+statistics inside ``frozen_block`` are accumulated in float64 regardless.
 """
 from __future__ import annotations
 
@@ -179,7 +186,7 @@ def _check_broadcast(a, b, op):
 
 
 # ---------------------------------------------------------------------------
-# numerics shared by the primitives and the fused block
+# numerics of the fused block
 
 # Eigen's generic_fast_erf_float (also XLA's float32 erf): an odd degree-13
 # numerator over an even degree-8 denominator, highest power first
@@ -232,12 +239,15 @@ def _gelu_forward(x, with_slope):
     return out, slope
 
 
-def _layer_norm_forward(x, eps=1e-5):
+_LN_EPS = 1e-5
+
+
+def _layer_norm_forward(x):
     """(y, std) of a scale-1 shift-0 layer norm over the last axis; float64
     statistics, results in x's dtype."""
     xc = x.astype(np.float64)
     xc -= xc.mean(axis=-1, keepdims=True)
-    root = np.sqrt(np.square(xc).mean(axis=-1, keepdims=True) + eps)
+    root = np.sqrt(np.square(xc).mean(axis=-1, keepdims=True) + _LN_EPS)
     xc /= root
     return xc.astype(x.dtype), root.astype(x.dtype)
 
@@ -315,7 +325,7 @@ def scale(a, s):
 
 
 def matmul(a, b):
-    if a.ndim < 1 or b.ndim < 2:
+    if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"matmul: ranks {a.ndim} and {b.ndim} unsupported")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul: inner dims differ, {a.shape} @ {b.shape}")
@@ -324,48 +334,12 @@ def matmul(a, b):
     def backward(g):
         ga = gb = None
         if a.requires_grad:
-            ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-            if a.ndim == 1:
-                ga = ga.reshape(a.shape) if ga.ndim == 1 else _unbroadcast(ga, (1,) + a.shape)[0]
-            else:
-                ga = _unbroadcast(ga, a.shape)
+            ga = _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape)
         if b.requires_grad:
-            if a.ndim == 1:
-                gb = np.outer(a.data, g if g.ndim == 1 else g.reshape(-1))
-            else:
-                gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape)
+            gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape)
         return ga, gb
 
     return _make(out, (a, b), backward, "matmul")
-
-
-def gelu(a):
-    out, slope = _gelu_forward(a.data, with_slope=True)
-
-    def backward(g):
-        return (g * slope,)
-
-    return _make(out, (a,), backward, "gelu")
-
-
-def layer_norm(a, eps=1e-5):
-    """Per-row (last axis) normalization, scale=1 shift=0, float64 statistics."""
-    y, std = _layer_norm_forward(a.data, eps)
-
-    def backward(g):
-        return (_layer_norm_backward(g, y, std),)
-
-    return _make(y, (a,), backward, "layer_norm")
-
-
-def softmax(a):
-    """Per-row softmax, max-subtracted."""
-    s = _softmax_forward(a.data)
-
-    def backward(g):
-        return (_softmax_backward(g, s),)
-
-    return _make(s, (a,), backward, "softmax")
 
 
 def log_softmax(a):
@@ -417,26 +391,6 @@ def mean(a, axis=None, keepdims=False):
     return scale(rsum(a, axis=axis, keepdims=keepdims), 1.0 / n)
 
 
-def log(a):
-    if np.any(a.data <= 0):
-        raise NonFiniteError("log: non-positive input")
-    out = np.log(a.data)
-
-    def backward(g):
-        return (g / a.data,)
-
-    return _make(out, (a,), backward, "log")
-
-
-def exp(a):
-    out = np.exp(a.data)
-
-    def backward(g):
-        return (g * out,)
-
-    return _make(out, (a,), backward, "exp")
-
-
 def absolute(a):
     out = np.abs(a.data)
 
@@ -483,10 +437,6 @@ def swapaxes(a, ax1, ax2):
         return (np.swapaxes(g, ax1, ax2),)
 
     return _make(out.copy(), (a,), backward, "transpose")
-
-
-def transpose_last2(a):
-    return swapaxes(a, -1, -2)
 
 
 def reshape(a, shape):

@@ -233,31 +233,57 @@ def run_experiment(config: ExperimentConfig, write=True,
 # gradient verification suite
 
 
+# the frozen block the random graphs run through: 4 wide, so a graph stays
+# small enough to difference every input entry
+_ORACLE_ENCODER = EncoderConfig(d=4, d_prime=4, L=1, heads=2, seq_len=3, patch_dim=2)
+
+
 def _random_graph_check(seed: int) -> float:
-    """One randomized composite graph; returns the max relative error."""
+    """One randomized composition of the ops the program builds; returns the
+    max relative error of its reverse-mode gradients.
+
+    Every graph gathers token rows with repeats (``take``), runs them through
+    a frozen block conditioned by a residual or by prefix key/values (sliced,
+    and for a prefix re-concatenated, from one leaf), concatenates the block
+    output with its input, applies a random chain of row ops and reads out
+    through a matmul head.
+    """
     rng = Rng(seed)
-    n = int(rng.integers(2, 5))
-    m = int(rng.integers(2, 5))
+    blk = build_stack(_ORACLE_ENCODER, 5).main_blocks[0]
+    dim = _ORACLE_ENCODER.d_prime
+    b = int(rng.integers(1, 3))  # samples
+    n = int(rng.integers(2, 4))  # tokens per sample
+    m = int(rng.integers(1, 3))  # prefix tokens
+    heads = int(rng.integers(1, 3))
+    prefix = bool(rng.integers(0, 2))
+    cls_only = bool(rng.integers(0, 2))
+    idx = rng.integers(0, n, size=b * n)
+    idx[-1] = idx[0]  # at least one repeated row
+    chain = [int(k) for k in rng.permutation(6)[:int(rng.integers(1, 4))]]  # no op twice
     params = {
-        "a": rng.normal((n, m), dtype=np.float64),
-        "b": rng.normal((m, n), dtype=np.float64),
-        "c": rng.normal((n,), dtype=np.float64),
+        "x": rng.normal((n, dim), dtype=np.float64),
+        "c": rng.normal((b, 2 * m if prefix else 2, dim), std=0.5, dtype=np.float64),
+        "w": rng.normal((dim, 2), dtype=np.float64),
     }
-    ops = int(rng.integers(0, 4))
+    row_ops = (ad.log_softmax, ad.l2_normalize, ad.absolute,
+               lambda t: ad.scale(t, 1.7),
+               lambda t: ad.mul(t, t),
+               lambda t: ad.add(t, ad.mean(t, axis=-1, keepdims=True)))
 
     def fn(p):
-        h = ad.matmul(p["a"], p["b"])
-        h = ad.gelu(h)
-        if ops == 0:
-            h = ad.layer_norm(h)
-        elif ops == 1:
-            h = ad.softmax(h)
-        elif ops == 2:
-            h = ad.add(h, ad.reshape(p["c"], (n, 1)))
+        rows = ad.reshape(ad.take(p["x"], idx), (b, n, dim))
+        c = p["c"]
+        if prefix:  # keys and values swapped: the slices' order differs from the leaf's
+            kv = ad.concat([ad.slice_axis(c, 1, m, 2 * m), ad.slice_axis(c, 1, 0, m)], axis=1)
+            h = ad.frozen_block(rows, blk, heads, prefix_kv=kv, cls_only=cls_only)
         else:
-            h = ad.mul(h, h)
-        v = ad.matmul(h, ad.reshape(ad.l2_normalize(p["c"]), (n, 1)))
-        return ad.mean(ad.log(ad.add(ad.exp(v), ad.constant(np.float64(1.0)))))
+            res = ad.mul(ad.slice_axis(c, 1, 0, 1), ad.slice_axis(c, 1, 1, 2))
+            h = ad.frozen_block(rows, blk, heads, residual=res, cls_only=cls_only)
+        h = ad.concat([h, rows], axis=1)
+        for k in chain:
+            h = row_ops[k](h)
+        logits = ad.matmul(ad.reshape(ad.swapaxes(h, 0, 1), (-1, dim)), p["w"])
+        return ad.mean(ad.stack([ad.rsum(logits), ad.mean(ad.absolute(logits))]))
 
     rep = optim.grad_check(fn, params, tol=1e-4, h=1e-5)
     return rep.max_rel_err

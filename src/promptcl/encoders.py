@@ -152,13 +152,6 @@ def build_stack(config: EncoderConfig, seed: int) -> FrozenStack:
     )
 
 
-def _attention(blk, h, heads, residual=None, prefix_kv=None, cls_only=False):
-    """One pre-norm transformer block with frozen weights ``blk``, fused into
-    one graph node; ``residual`` is added to the post-attention activation
-    (before the MLP branch). With ``cls_only`` only the CLS row is computed."""
-    return ad.frozen_block(h, blk, heads, residual, prefix_kv, cls_only)
-
-
 def text_encode(stack: FrozenStack, prompt_token, class_embed):
     """Encode each 2-token sequence [prompt; class-name] to a unit key vector.
 
@@ -178,7 +171,7 @@ def text_encode(stack: FrozenStack, prompt_token, class_embed):
                     ad.constant(stack.text_pos))
     h = tokens
     for blk in stack.text_blocks:
-        h = _attention(blk, h, stack.config.clip_heads)
+        h = ad.frozen_block(h, blk, stack.config.clip_heads)
     pooled = ad.mean(h, axis=-2)
     out = ad.matmul(pooled, ad.constant(stack.text_out))
     return ad.l2_normalize(out)
@@ -202,7 +195,7 @@ def vision_encode(stack: FrozenStack, x) -> np.ndarray:
     tokens = np.concatenate([cls, emb], axis=-2) + stack.vis_pos
     h = ad.constant(tokens)
     for i, blk in enumerate(stack.vis_blocks):
-        h = _attention(blk, h, cfg.clip_heads, cls_only=i == len(stack.vis_blocks) - 1)
+        h = ad.frozen_block(h, blk, cfg.clip_heads, cls_only=i == len(stack.vis_blocks) - 1)
     cls_out = h.data[..., 0, :] @ stack.vis_out
     return ad.l2_normalize(ad.constant(cls_out)).data
 
@@ -268,6 +261,6 @@ def vit_forward(stack: FrozenStack, x=None, residuals=None, tokens=None,
         if prefix is not None:
             layer = ad.slice_axis(prefix, 1, l, l + 1)  # (b, 1, 2*n_tok, d')
             pre_l = ad.reshape(layer, (layer.shape[0],) + layer.shape[2:])
-        h = _attention(blk, h, cfg.heads, residual=res_l, prefix_kv=pre_l,
-                       cls_only=l == cfg.L - 1)
+        h = ad.frozen_block(h, blk, cfg.heads, residual=res_l, prefix_kv=pre_l,
+                            cls_only=l == cfg.L - 1)
     return ad.reshape(h, (cfg.d_prime,) if squeeze else (b, cfg.d_prime))

@@ -5,7 +5,9 @@ Feature file layout (little-endian throughout):
   count*dim float32 payload, count u32 labels.
 
 Array archives back the codebook / head / mixture-bank checkpoints: a magic,
-a version, then named float32/int64 arrays.
+a version u32 = 2, an array count u32, then per array its UTF-8 name, a dtype
+code (f4, f8 or i8), its rank, shape and payload. Version 1 archives, which
+had no f8 code, still read.
 """
 from __future__ import annotations
 
@@ -65,25 +67,28 @@ def load_feature_file(path, num_classes=None):
 # ---------------------------------------------------------------------------
 # named-array archives (checkpoints)
 
-_DTYPES = {b"f4": "<f4", b"i8": "<i8"}
-_CODES = {"float32": b"f4", "int64": b"i8"}
+ARCHIVE_VERSION = 2
+_READ_VERSIONS = (1, 2)
+_DTYPES = {b"f4": "<f4", b"f8": "<f8", b"i8": "<i8"}
 
 
 def write_archive(path, magic: bytes, arrays: dict) -> None:
-    """Write named arrays; float arrays as f32 LE, integer arrays as i64 LE."""
+    """Write named arrays: float64 as f64 LE, other floats as f32 LE, integer
+    arrays as i64 LE."""
     if len(magic) != 8:
         raise FormatError("archive magic must be 8 bytes")
     with open(path, "wb") as f:
         f.write(magic)
-        f.write(struct.pack("<II", 1, len(arrays)))
+        f.write(struct.pack("<II", ARCHIVE_VERSION, len(arrays)))
         for name, arr in arrays.items():
             arr = np.asarray(arr)
-            if np.issubdtype(arr.dtype, np.floating):
-                arr = arr.astype("<f4")
-                code = _CODES["float32"]
+            if arr.dtype == np.float64:
+                code = b"f8"
+            elif np.issubdtype(arr.dtype, np.floating):
+                code = b"f4"
             else:
-                arr = arr.astype("<i8")
-                code = _CODES["int64"]
+                code = b"i8"
+            arr = arr.astype(_DTYPES[code])
             nb = name.encode("utf-8")
             f.write(struct.pack("<I", len(nb)))
             f.write(nb)
@@ -109,7 +114,7 @@ def read_archive(path, magic: bytes) -> dict:
         return raw[off - n:off]
 
     version, n = struct.unpack("<II", chunk(8, "the header"))
-    if version != 1:
+    if version not in _READ_VERSIONS:
         raise FormatError(f"{path}: unsupported archive version {version}")
     arrays = {}
     for _ in range(n):

@@ -68,7 +68,7 @@ def ce_stage1(key_rows: ad.Tensor, z_batch, label_idx, tau: float) -> ad.Tensor:
     ``label_idx`` are positions into the key rows (the denominator set).
     """
     z = z_batch if isinstance(z_batch, ad.Tensor) else ad.constant(z_batch)
-    logits = ad.scale(ad.matmul(z, ad.transpose_last2(key_rows)), 1.0 / tau)
+    logits = ad.scale(ad.matmul(z, ad.swapaxes(key_rows, -1, -2)), 1.0 / tau)
     return _nll(ad.log_softmax(logits), label_idx)
 
 

@@ -83,34 +83,26 @@ def _sample_class(rng, center, n, noise, bimodal, separation):
     return (sub + rng.normal((n, dim), std=noise)).astype(np.float32)
 
 
+def _class_names(cids) -> dict:
+    return {cid: f"class_{cid:03d}" for cid in cids}
+
+
 def _synthetic_stream(spec: ScenarioSpec) -> TaskStream:
     rng = Rng(spec.seed)
     dim = spec.patches * spec.patch_dim
-    total = spec.num_tasks * spec.classes_per_task
+    per_task = spec.classes_per_task
+    total = spec.num_tasks * per_task
     centers = _class_centers(rng.child("centers"), total, dim, spec.separation)
     bimodal = spec.kind == "bimodal-clusters"
-    stream = TaskStream()
-    for t in range(spec.num_tasks):
-        cids = list(range(t * spec.classes_per_task, (t + 1) * spec.classes_per_task))
-        tr_x, tr_y, te_x, te_y = [], [], [], []
-        for cid in cids:
-            crng = rng.child(("class", cid))
-            n = spec.train_per_class + spec.test_per_class
-            pts = _sample_class(crng, centers[cid], n, spec.noise,
-                                bimodal, spec.separation)
-            tr_x.append(pts[:spec.train_per_class])
-            te_x.append(pts[spec.train_per_class:])
-            tr_y.append(np.full(spec.train_per_class, cid, np.int64))
-            te_y.append(np.full(spec.test_per_class, cid, np.int64))
-            stream.class_names[cid] = f"class_{cid:03d}"
-        shape = (-1, spec.patches, spec.patch_dim)
-        stream.tasks.append(Task(
-            task_id=t, class_ids=cids,
-            train_x=np.concatenate(tr_x).reshape(shape),
-            train_y=np.concatenate(tr_y),
-            test_x=np.concatenate(te_x).reshape(shape),
-            test_y=np.concatenate(te_y)))
-    return stream
+    by_class = {}
+    for cid in range(total):
+        pts = _sample_class(rng.child(("class", cid)), centers[cid],
+                            spec.train_per_class + spec.test_per_class, spec.noise,
+                            bimodal, spec.separation)
+        pts = pts.reshape(-1, spec.patches, spec.patch_dim)
+        by_class[cid] = (pts[:spec.train_per_class], pts[spec.train_per_class:])
+    groups = [list(range(t * per_task, (t + 1) * per_task)) for t in range(spec.num_tasks)]
+    return _assemble(by_class, groups, _class_names(by_class), feature_space=False)
 
 
 def _feature_stream(spec: ScenarioSpec) -> TaskStream:
@@ -122,30 +114,19 @@ def _feature_stream(spec: ScenarioSpec) -> TaskStream:
         raise ScenarioError(
             f"feature file holds {len(present)} classes, scenario needs {need}")
     rng = Rng(spec.seed)
-    stream = TaskStream(feature_space=True)
-    for t in range(spec.num_tasks):
-        cids = present[t * spec.classes_per_task:(t + 1) * spec.classes_per_task]
-        tr_x, tr_y, te_x, te_y = [], [], [], []
-        for cid in cids:
-            rows = feats[labels == cid]
-            if len(rows) < 2:
-                raise ScenarioError(f"class {cid} has fewer than 2 samples")
-            order = rng.child(("split", cid)).permutation(len(rows))
-            n_test = max(1, int(round(len(rows) * spec.test_per_class /
-                                      max(spec.train_per_class + spec.test_per_class, 1))))
-            n_test = min(n_test, len(rows) - 1)
-            te = rows[order[:n_test]]
-            tr = rows[order[n_test:]]
-            tr_x.append(tr)
-            te_x.append(te)
-            tr_y.append(np.full(len(tr), cid, np.int64))
-            te_y.append(np.full(len(te), cid, np.int64))
-            stream.class_names[cid] = f"class_{cid:03d}"
-        stream.tasks.append(Task(
-            task_id=t, class_ids=list(cids),
-            train_x=np.concatenate(tr_x), train_y=np.concatenate(tr_y),
-            test_x=np.concatenate(te_x), test_y=np.concatenate(te_y)))
-    return stream
+    by_class = {}
+    for cid in present[:need]:
+        rows = feats[labels == cid]
+        if len(rows) < 2:
+            raise ScenarioError(f"class {cid} has fewer than 2 samples")
+        order = rng.child(("split", cid)).permutation(len(rows))
+        n_test = max(1, int(round(len(rows) * spec.test_per_class /
+                                  max(spec.train_per_class + spec.test_per_class, 1))))
+        n_test = min(n_test, len(rows) - 1)
+        by_class[cid] = (rows[order[n_test:]], rows[order[:n_test]])
+    per_task = spec.classes_per_task
+    groups = [present[t * per_task:(t + 1) * per_task] for t in range(spec.num_tasks)]
+    return _assemble(by_class, groups, _class_names(by_class), feature_space=True)
 
 
 def generate_scenario(spec: ScenarioSpec) -> TaskStream:
@@ -169,8 +150,13 @@ def regroup(stream: TaskStream, groups) -> TaskStream:
     missing = sorted(c for cids in groups for c in cids if c not in by_class)
     if missing:
         raise ScenarioError(f"stream lacks test samples for classes {missing}")
-    out = TaskStream(class_names=dict(stream.class_names),
-                     feature_space=stream.feature_space)
+    return _assemble(by_class, groups, stream.class_names, stream.feature_space)
+
+
+def _assemble(by_class: dict, groups, class_names: dict, feature_space: bool) -> TaskStream:
+    """A stream whose task t holds the classes ``groups[t]``, in that order,
+    each with its ``by_class[c] = (train_x, test_x)`` samples."""
+    out = TaskStream(class_names=dict(class_names), feature_space=feature_space)
     for t, cids in enumerate(groups):
         tr_x = np.concatenate([by_class[c][0] for c in cids])
         te_x = np.concatenate([by_class[c][1] for c in cids])

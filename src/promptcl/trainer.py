@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -136,16 +136,9 @@ def _batches(n, batch_size, rng):
         yield order[start:start + batch_size]
 
 
-_HANDCRAFTED_CONTEXT = None
-
-
 def _handcrafted_context(d: int) -> np.ndarray:
     # fixed surrogate for a hand-written textual context, shared by all classes
-    global _HANDCRAFTED_CONTEXT
-    if _HANDCRAFTED_CONTEXT is None or _HANDCRAFTED_CONTEXT.shape != (d,):
-        _HANDCRAFTED_CONTEXT = Rng(0).child("handcrafted-context").normal(
-            (d,), std=pr.PROMPT_INIT_STD)
-    return _HANDCRAFTED_CONTEXT
+    return Rng(0).child("handcrafted-context").normal((d,), std=pr.PROMPT_INIT_STD)
 
 
 def _fit_bank(bank, feats, labels, class_ids, m, seed_rng, tag):
@@ -415,10 +408,7 @@ def save_checkpoint(state: TrainerState, out_dir) -> None:
         "feature_space": state.feature_space,
         "class_names": {str(k): v for k, v in state.class_names.items()},
         "task_classes": {str(k): v for k, v in state.task_classes.items()},
-        "encoder": {"d": state.stack.config.d, "d_prime": state.stack.config.d_prime,
-                    "L": state.stack.config.L, "heads": state.stack.config.heads,
-                    "seq_len": state.stack.config.seq_len, "tau": state.stack.config.tau,
-                    "patch_dim": state.stack.config.patch_dim},
+        "encoder": asdict(state.stack.config),
     }
     with open(os.path.join(out_dir, "trainer.json"), "w") as f:
         json.dump(meta, f, indent=2, sort_keys=True)

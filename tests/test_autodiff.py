@@ -5,11 +5,6 @@ from promptcl import autodiff as ad
 from promptcl.rng import Rng
 
 
-def test_softmax_uniform_logits():
-    out = ad.softmax(ad.Tensor([0.0, 0.0]))
-    np.testing.assert_allclose(out.data, [0.5, 0.5], atol=1e-7)
-
-
 def test_l2_normalize_hand_case():
     out = ad.l2_normalize(ad.Tensor([3.0, 4.0]))
     np.testing.assert_allclose(out.data, [0.6, 0.8], atol=1e-6)
@@ -19,13 +14,6 @@ def test_l2_normalize_zero_row_maps_to_zero():
     out = ad.l2_normalize(ad.Tensor([[0.0, 0.0], [1.0, 0.0]]))
     np.testing.assert_allclose(out.data[0], [0.0, 0.0])
     np.testing.assert_allclose(out.data[1], [1.0, 0.0])
-
-
-def test_softmax_rows_sum_to_one():
-    rng = Rng(1)
-    x = ad.Tensor(rng.normal((20, 7), std=5.0))
-    s = ad.softmax(x)
-    np.testing.assert_allclose(s.data.sum(axis=-1), np.ones(20), atol=1e-6)
 
 
 def test_l2_rows_unit_norm():
@@ -83,9 +71,9 @@ def test_nonfinite_input_rejected():
 
 
 def test_nonfinite_output_names_the_op():
-    # exp(1e4) overflows float32: the op that produced the inf is named
-    with np.errstate(over="ignore"), pytest.raises(ad.NonFiniteError, match="'exp'"):
-        ad.exp(ad.Tensor([1e4, 0.0]))
+    # 1e30 * 1e10 overflows float32: the op that produced the inf is named
+    with np.errstate(over="ignore"), pytest.raises(ad.NonFiniteError, match="'scale'"):
+        ad.scale(ad.Tensor([1e30, 0.0]), 1e10)
 
 
 def test_erf32_accuracy_odd_and_finite():
@@ -124,35 +112,13 @@ def test_frozen_block_grads_match_finite_differences(cls_only, cond):
     assert report.passed, report.per_param
 
 
-def _random_graph(rng: Rng, params, depth):
-    """A deterministic random composition of the primitive set."""
-    x = params["x"]
-    w = params["w"]
-    h = ad.matmul(x, w)
-    ops = [ad.gelu, ad.layer_norm, ad.softmax, ad.l2_normalize,
-           lambda t: ad.scale(t, 1.7), lambda t: ad.add(t, ad.constant(0.3)),
-           lambda t: ad.mul(t, t)]
-    picks = rng.integers(0, len(ops), size=depth)
-    for k in picks:
-        h = ops[int(k)](h)
-    return ad.mean(ad.mul(h, h))
-
-
 def test_randomized_graphs_match_finite_differences():
-    from promptcl.optim import grad_check
+    # the gradcheck oracle's generator, on seeds apart from the suite's 1000-1099
+    from promptcl import cli
 
-    for trial in range(10):
-        rng = Rng(100 + trial)
-        depth = int(rng.integers(1, 7))
-        x0 = rng.normal((3, 4), dtype=np.float64)
-        w0 = rng.normal((4, 4), dtype=np.float64)
-        graph_rng = Rng(200 + trial)
-
-        def fn(tensors, _rng=graph_rng, _depth=depth):
-            return _random_graph(Rng(_rng.seed), tensors, _depth)
-
-        report = grad_check(fn, {"x": x0, "w": w0}, tol=1e-4)
-        assert report.passed, f"trial {trial}: max rel err {report.max_rel_err}"
+    for seed in range(100, 110):
+        err = cli._random_graph_check(seed)
+        assert err < 1e-4, f"seed {seed}: max rel err {err}"
 
 
 def test_concat_stack_slice_transpose_grads():
@@ -166,8 +132,8 @@ def test_concat_stack_slice_transpose_grads():
         c = ad.concat([t["a"], t["b"]], axis=0)
         s = ad.stack([t["a"], t["b"]], axis=0)
         piece = ad.slice_axis(s, 2, 0, 2)
-        return ad.add(ad.mean(ad.mul(c, c)),
-                      ad.mean(ad.mul(ad.transpose_last2(piece), ad.transpose_last2(piece))))
+        flipped = ad.swapaxes(piece, -1, -2)
+        return ad.add(ad.mean(ad.mul(c, c)), ad.mean(ad.mul(flipped, flipped)))
 
     report = grad_check(fn, {"a": a0, "b": b0}, tol=1e-6)
     assert report.passed

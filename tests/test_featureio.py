@@ -64,6 +64,41 @@ def test_archive_round_trip(tmp_path):
         read_archive(path, b"STAROTHR")
 
 
+def test_archive_keeps_float64_and_float32_apart(tmp_path):
+    path = tmp_path / "a.bin"
+    wide = np.array([1.0 + 2.0 ** -40, np.pi])
+    write_archive(path, b"STARTEST", {"wide": wide, "narrow": wide.astype(np.float32)})
+    back = read_archive(path, b"STARTEST")
+    assert back["wide"].dtype == np.float64 and back["wide"].tobytes() == wide.tobytes()
+    assert back["narrow"].dtype == np.float32
+    assert struct.unpack("<I", path.read_bytes()[8:12]) == (2,)
+
+
+def test_version_1_archive_still_reads(tmp_path):
+    # hand-built: magic, version 1, one f4 array "w" of shape (2,), one i8 scalar "n"
+    raw = (b"STARTEST" + struct.pack("<II", 1, 2)
+           + struct.pack("<I", 1) + b"w" + b"f4" + struct.pack("<II", 1, 2)
+           + np.array([1.5, -2.0], "<f4").tobytes()
+           + struct.pack("<I", 1) + b"n" + b"i8" + struct.pack("<I", 0)
+           + np.array(7, "<i8").tobytes())
+    path = tmp_path / "v1.bin"
+    path.write_bytes(raw)
+    back = read_archive(path, b"STARTEST")
+    assert back["w"].dtype == np.float32 and back["w"].tolist() == [1.5, -2.0]
+    assert back["n"].dtype == np.int64 and int(back["n"]) == 7
+
+
+@pytest.mark.parametrize("version", [0, 3])
+def test_unknown_archive_version_raises_format_error(tmp_path, version):
+    path = tmp_path / "a.bin"
+    write_archive(path, b"STARTEST", {"w": np.float32(1.0)})
+    raw = bytearray(path.read_bytes())
+    raw[8:12] = struct.pack("<I", version)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(FormatError, match=f"unsupported archive version {version}"):
+        read_archive(path, b"STARTEST")
+
+
 def test_every_truncated_archive_raises_format_error(tmp_path):
     path = tmp_path / "a.bin"
     write_archive(path, b"STARTEST", {"w": np.arange(6, dtype=np.float32).reshape(2, 3),

@@ -64,12 +64,12 @@ def test_grad_check_linear():
     assert report.max_rel_err < 1e-6
 
 
-def test_grad_check_layer_norm_softmax():
+def test_grad_check_log_softmax_l2_normalize():
     rng = np.random.Generator(np.random.Philox(5))
     x0 = rng.standard_normal((4, 6))
 
     def fn(t):
-        h = ad.softmax(ad.layer_norm(t["x"]))
+        h = ad.log_softmax(ad.l2_normalize(t["x"]))
         return ad.mean(ad.mul(h, h))
 
     report = grad_check(fn, {"x": x0}, tol=1e-4)

@@ -206,6 +206,7 @@ def test_checkpoint_round_trip(tmp_path):
     state = run_stream(stream)
     tr.save_checkpoint(state, tmp_path)
     back = tr.load_checkpoint(tmp_path)
+    assert back.stack.config == state.stack.config
     assert back.current_task == state.current_task
     assert back.task_classes == state.task_classes
     x = stream.tasks[1].test_x
