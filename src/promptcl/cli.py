@@ -120,6 +120,8 @@ def _seeds(key: ConfigKey, value) -> tuple:
     if not seeds or any(type(s) is not int for s in seeds):
         raise ConfigError(f"config key '{key.name}' must be an int or a nonempty "
                           f"comma-separated int list, got {value!r}")
+    if len(set(seeds)) != len(seeds):
+        raise ConfigError(f"config key '{key.name}' repeats a seed: {value!r}")
     return seeds
 
 
@@ -374,12 +376,7 @@ def _cmd_ablate(args) -> int:
         print(f"[{name}] FAA {s['faa_mean']:.4f} ± {s['faa_std']:.4f}")
     os.makedirs(base.out, exist_ok=True)
     path = os.path.join(base.out, "ablation.csv")
-    with open(path, "w") as f:
-        f.write("variant,faa_mean,faa_std,ff_mean,ff_std\n")
-        for name, fm, fs, gm, gs in rows:
-            gm = "" if gm is None else f"{gm:.6f}"
-            gs = "" if gs is None else f"{gs:.6f}"
-            f.write(f"{name},{fm:.6f},{fs:.6f},{gm},{gs}\n")
+    mt.write_csv(path, ["variant", "faa_mean", "faa_std", "ff_mean", "ff_std"], rows)
     print("wrote", path)
     return 0
 
@@ -388,18 +385,16 @@ def _cmd_diag(args) -> int:
     state = tr.load_checkpoint(args.checkpoint)
     config = build_experiment(parse_config(args.stream))
     # the checkpoint's class-to-task grouping, so query task i is trained task i
-    groups = [state.task_classes[t] for t in sorted(state.task_classes)]
+    task_of = state.books.task_of
+    groups = [[c for c in state.books.class_ids if task_of[c] == t]
+              for t in range(state.current_task + 1)]
     stream = sc.regroup(sc.generate_scenario(config.scenario), groups)
     _, chosen = _predict_tasks(state, stream.tasks)
-    C = mt.retrieval_confusion(state.books.task_of, chosen)
+    C = mt.retrieval_confusion(task_of, chosen)
     out = args.out or "."
     os.makedirs(out, exist_ok=True)
     path = os.path.join(out, "confusion.csv")
-    header = "query_task," + ",".join(f"task_{j}" for j in range(C.shape[1]))
-    with open(path, "w") as f:
-        f.write(header + "\n")
-        for i in range(C.shape[0]):
-            f.write(",".join([str(i)] + [f"{v:.6f}" for v in C[i]]) + "\n")
+    mt.write_confusion(path, C)
     print("wrote", path)
     print("diagonal mass:", " ".join(f"{C[i, i]:.3f}" for i in range(C.shape[0])))
     return 0

@@ -55,19 +55,13 @@ class EncoderConfig:
         return 1
 
 
-@dataclass
-class ClassNameEmbedding:
-    name: str
-    vector: np.ndarray  # unit d-vector
-
-
-def class_name_embed(name: str, config: EncoderConfig) -> ClassNameEmbedding:
-    """Seeded-hash surrogate for a tokenizer: stable across runs and platforms."""
+def class_name_embed(name: str, config: EncoderConfig) -> np.ndarray:
+    """Unit d-vector per class name; a seeded-hash tokenizer surrogate, stable across platforms."""
     if not name:
         raise ConfigError("class name must be nonempty")
     v = Rng(stable_name_seed("clname:" + name)).normal((config.d,))
     v /= np.linalg.norm(v)
-    return ClassNameEmbedding(name=name, vector=v.astype(np.float32))
+    return v.astype(np.float32)
 
 
 def _init_block(rng: Rng, dim: int) -> dict:
@@ -155,13 +149,13 @@ def build_stack(config: EncoderConfig, seed: int) -> FrozenStack:
 def text_encode(stack: FrozenStack, prompt_token, class_embed):
     """Encode each 2-token sequence [prompt; class-name] to a unit key vector.
 
-    A ``(C, d)`` prompt batch with a sequence of C ``ClassNameEmbedding``s
+    A ``(C, d)`` prompt batch with a sequence of C class-name embeddings
     gives ``(C, d)`` keys, row c bit-identical to encoding prompt c alone.
     Differentiable w.r.t. ``prompt_token`` when it is a Tensor requiring grad.
     """
     d = stack.config.d
     p = prompt_token if isinstance(prompt_token, ad.Tensor) else ad.constant(prompt_token)
-    names = np.stack([e.vector for e in class_embed])
+    names = np.stack(class_embed)
     if names.shape[-1:] != (d,):
         raise ad.ShapeError(f"text_encode: class embedding shape {names.shape}")
     if p.shape != names.shape:

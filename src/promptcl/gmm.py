@@ -6,6 +6,7 @@ are deterministic under a fixed sample order and seed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 from scipy.special import logsumexp
@@ -24,16 +25,14 @@ class FitError(PromptclError):
 @dataclass
 class EMConfig:
     m: int = 5
-    max_iters: int = 100
-    tol: float = 1e-4          # relative log-likelihood gain
-    var_floor: float = 1e-6
     seed: int = 0
+    max_iters: ClassVar[int] = 100
+    tol: ClassVar[float] = 1e-4  # relative log-likelihood gain
+    var_floor: ClassVar[float] = 1e-6
 
     def __post_init__(self):
         if self.m < 1:
             raise FitError("component count must be >= 1")
-        if self.tol <= 0:
-            raise FitError("tolerance must be positive")
 
 
 @dataclass

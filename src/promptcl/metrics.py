@@ -79,12 +79,19 @@ def retrieval_confusion(owner_of, selections) -> np.ndarray:
     return C
 
 
-def _write_csv(path, header, rows):
+def write_csv(path, header, rows):
+    """One CSV file: floats as ``%.6f``, None as an empty cell."""
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(header)
         for row in rows:
             w.writerow([f"{v:.6f}" if isinstance(v, float) else v for v in row])
+
+
+def write_confusion(path, C) -> None:
+    """Row i: the share of task-i queries keyed to each task's classes."""
+    header = ["query_task"] + [f"task_{j}" for j in range(C.shape[1])]
+    write_csv(path, header, [[i] + [float(v) for v in C[i]] for i in range(C.shape[0])])
 
 
 def matrix_rows(matrix: AccuracyMatrix):
@@ -134,15 +141,12 @@ def report(out_dir, per_seed, confusions=None, extras=None):
         matrix = per_seed[seed]
         header = ["after_task"] + [f"task_{j}" for j in range(matrix.num_tasks)]
         path = os.path.join(out_dir, f"accuracy_seed{seed}.csv")
-        _write_csv(path, header, matrix_rows(matrix))
+        write_csv(path, header, matrix_rows(matrix))
         paths.append(path)
     if confusions:
         for seed in sorted(confusions):
-            C = confusions[seed]
-            header = ["query_task"] + [f"task_{j}" for j in range(C.shape[1])]
-            rows = [[i] + [float(v) for v in C[i]] for i in range(C.shape[0])]
             path = os.path.join(out_dir, f"confusion_seed{seed}.csv")
-            _write_csv(path, header, rows)
+            write_confusion(path, confusions[seed])
             paths.append(path)
     summary = summarize(per_seed)
     if extras:

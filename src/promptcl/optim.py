@@ -9,6 +9,11 @@ from . import PromptclError
 from . import autodiff as ad
 
 
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
+
 class GradientError(PromptclError):
     """Raised when a gradient is unusable (NaN/Inf or shape mismatch)."""
 
@@ -18,9 +23,6 @@ class AdamState:
     """Per-parameter first/second moment accumulators with bias correction."""
 
     lr: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step_count: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
@@ -34,8 +36,8 @@ def adam_step(state: AdamState, params: dict, grads: dict) -> None:
     """
     state.step_count += 1
     t = state.step_count
-    bc1 = 1.0 - state.beta1 ** t
-    bc2 = 1.0 - state.beta2 ** t
+    bc1 = 1.0 - BETA1 ** t
+    bc2 = 1.0 - BETA2 ** t
     for name, p in params.items():
         g = grads.get(name)
         if g is None:
@@ -49,13 +51,13 @@ def adam_step(state: AdamState, params: dict, grads: dict) -> None:
             state.v[name] = np.zeros_like(p)
         m = state.m[name]
         v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * g * g
         m_hat = m / bc1
         v_hat = v / bc2
-        p -= (state.lr * m_hat / (np.sqrt(v_hat) + state.eps)).astype(p.dtype)
+        p -= (state.lr * m_hat / (np.sqrt(v_hat) + EPS)).astype(p.dtype)
 
 
 @dataclass

@@ -1,8 +1,10 @@
-"""Two-level prompt codebooks: prototype keys, confidence-weighted selection,
-and residual construction, with the per-task freeze discipline.
+"""Two-level prompt codebooks: one record per class (first-level prompt,
+prototype key, second-level prompt, query weights and owning task), with
+confidence-weighted selection and residual construction.
 
-Parameters live as numpy arrays; training code wraps the trainable ones in
-graph tensors per step, so frozen entries are bitwise untouchable by design.
+Parameters live as numpy arrays; training code wraps only the current task's
+rows in graph tensors per step, so earlier classes are bitwise untouchable by
+design.
 """
 from __future__ import annotations
 
@@ -31,12 +33,15 @@ class Codebooks:
     L: int
     d_prime: int
     prefix_tokens: int = 0   # 0 = residual conditioning; >0 = tokens per key/value
-    class_ids: list = field(default_factory=list)       # ascending
     p: dict = field(default_factory=dict)               # class -> (d,)
+    keys: dict = field(default_factory=dict)            # class -> unit (d,) key
     Q: dict = field(default_factory=dict)               # class -> (L, d') or (L, 2n, d')
     A: dict = field(default_factory=dict)               # class -> (d,)
-    trainable: dict = field(default_factory=dict)       # class -> bool
     task_of: dict = field(default_factory=dict)         # class -> owning task
+
+    @property
+    def class_ids(self) -> list:
+        return sorted(self.task_of)
 
     def q_shape(self):
         if self.prefix_tokens:
@@ -45,40 +50,28 @@ class Codebooks:
 
 
 def extend_codebooks(books: Codebooks, new_classes, rng: Rng, task_id: int) -> None:
-    """Add prompts for a new task's classes and freeze all earlier entries."""
-    dup = set(new_classes) & set(books.class_ids)
+    """Add prompts for a new task's classes; their keys come later."""
+    dup = set(new_classes) & set(books.task_of)
     if dup:
         raise CodebookError(f"classes already present: {sorted(dup)}")
     if len(set(new_classes)) != len(new_classes):
         raise CodebookError("duplicate class id within the new task")
-    for cid in books.class_ids:
-        books.trainable[cid] = False
     for cid in new_classes:
         books.p[cid] = rng.child(f"p{cid}").normal((books.d,), std=PROMPT_INIT_STD)
         books.Q[cid] = np.zeros(books.q_shape(), np.float32)
         books.A[cid] = np.ones(books.d, np.float32)
-        books.trainable[cid] = True
         books.task_of[cid] = task_id
-    books.class_ids = sorted(set(books.class_ids) | set(new_classes))
 
 
-@dataclass
-class PrototypeKeys:
-    keys: dict = field(default_factory=dict)  # class -> unit (d,) vector
-
-    def class_ids(self):
-        return sorted(self.keys)
-
-
-def compute_keys(books: Codebooks, stack: FrozenStack, class_embeds: dict) -> PrototypeKeys:
-    """Recompute every class key from its (frozen or trainable) prompt."""
+def compute_keys(books: Codebooks, stack: FrozenStack, class_embeds: dict) -> dict:
+    """Every class's unit key, recomputed from its prompt: class -> (d,)."""
     for cid in books.class_ids:
         if cid not in class_embeds:
             raise CodebookError(f"no class-name embedding for class {cid}")
-    if not books.class_ids:
-        return PrototypeKeys()
+    if not books.task_of:
+        return {}
     rows = key_tensor(books, stack, class_embeds, books.class_ids).data
-    return PrototypeKeys(keys={cid: rows[i].copy() for i, cid in enumerate(books.class_ids)})
+    return {cid: rows[i].copy() for i, cid in enumerate(books.class_ids)}
 
 
 def key_tensor(books: Codebooks, stack: FrozenStack, class_embeds: dict, cids,
@@ -96,22 +89,20 @@ class Selection:
     sims: np.ndarray       # over the key class ids, ascending order; (b, C)
 
 
-def select(keys: PrototypeKeys, z, A: dict | None = None) -> Selection:
+def select(keys: dict, z, A: dict) -> Selection:
     """Pick, per query row, the class whose prototype key best matches it.
 
-    The query is reweighted per class (z * A_c) and re-normalized so the
-    similarity stays a bounded cosine; a zero-norm query maps to similarity 0.
-    Exact ties go to the lowest class index. Works over any leading axes of
-    ``z``: a (d,) query gives 0-d results.
+    ``keys`` and ``A`` map class -> (d,). The query is reweighted per class
+    (z * A_c) and re-normalized so the similarity stays a bounded cosine; a
+    zero-norm query maps to similarity 0. Exact ties go to the lowest class
+    index. Works over any leading axes of ``z``: a (d,) query gives 0-d results.
     """
-    ids = keys.class_ids()
+    ids = sorted(keys)
     if not ids:
         raise CodebookError("select: empty key set")
     z = np.asarray(z, dtype=np.float32)
-    K = np.stack([keys.keys[c] for c in ids])
-    q = z[..., None, :]                           # (..., 1, d)
-    if A is not None:
-        q = q * np.stack([A[c] for c in ids])     # (..., C, d)
+    K = np.stack([keys[c] for c in ids])
+    q = z[..., None, :] * np.stack([A[c] for c in ids])  # (..., C, d)
     # vecdot reduces each row like the 1-D BLAS dot, so rows match
     # single-query calls bit for bit
     n = np.sqrt(np.vecdot(q, q))[..., None]
@@ -145,36 +136,34 @@ def build_residual(Q, sim) -> ad.Tensor:
 # checkpointing
 
 
-def save_codebooks(path, books: Codebooks, keys: PrototypeKeys | None = None) -> None:
+def save_codebooks(path, books: Codebooks) -> None:
+    cids = books.class_ids
     arrays = {
         "meta": np.array([books.d, books.L, books.d_prime, books.prefix_tokens],
                          dtype=np.int64),
-        "class_ids": np.array(books.class_ids, dtype=np.int64),
-        "trainable": np.array([int(books.trainable[c]) for c in books.class_ids],
-                              dtype=np.int64),
-        "task_of": np.array([books.task_of[c] for c in books.class_ids], dtype=np.int64),
+        "class_ids": np.array(cids, dtype=np.int64),
+        "task_of": np.array([books.task_of[c] for c in cids], dtype=np.int64),
     }
-    for cid in books.class_ids:
+    for cid in cids:
         arrays[f"p{cid}"] = books.p[cid]
         arrays[f"Q{cid}"] = books.Q[cid]
         arrays[f"A{cid}"] = books.A[cid]
-        if keys is not None and cid in keys.keys:
-            arrays[f"w{cid}"] = keys.keys[cid]
+        if cid in books.keys:
+            arrays[f"w{cid}"] = books.keys[cid]
     write_archive(path, CODEBOOK_MAGIC, arrays)
 
 
-def load_codebooks(path):
+def load_codebooks(path) -> Codebooks:
+    """Read codebooks written by ``save_codebooks``; other entries are ignored."""
     arrays = read_archive(path, CODEBOOK_MAGIC)
     d, L, d_prime, prefix_tokens = (int(v) for v in arrays["meta"])
     books = Codebooks(d=d, L=L, d_prime=d_prime, prefix_tokens=prefix_tokens)
-    keys = PrototypeKeys()
-    books.class_ids = [int(c) for c in arrays["class_ids"]]
-    for i, cid in enumerate(books.class_ids):
+    for cid, task in zip(arrays["class_ids"], arrays["task_of"], strict=True):
+        cid = int(cid)
         books.p[cid] = arrays[f"p{cid}"]
         books.Q[cid] = arrays[f"Q{cid}"]
         books.A[cid] = arrays[f"A{cid}"]
-        books.trainable[cid] = bool(arrays["trainable"][i])
-        books.task_of[cid] = int(arrays["task_of"][i])
+        books.task_of[cid] = int(task)
         if f"w{cid}" in arrays:
-            keys.keys[cid] = arrays[f"w{cid}"]
-    return books, keys
+            books.keys[cid] = arrays[f"w{cid}"]
+    return books

@@ -39,6 +39,10 @@ class ScenarioSpec:
             raise ScenarioError(f"unknown generator kind {self.kind!r}")
         if self.kind == "feature-file" and not self.feature_path:
             raise ScenarioError("feature-file kind needs feature_path")
+        if self.kind != "feature-file":  # a feature file splits by their ratio
+            for name in ("train_per_class", "test_per_class"):
+                if getattr(self, name) < 1:
+                    raise ScenarioError(f"{name} must be >= 1 for kind {self.kind!r}")
 
 
 @dataclass

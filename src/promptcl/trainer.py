@@ -89,13 +89,11 @@ def check_variant(variant) -> str | None:
 class TrainerState:
     stack: FrozenStack
     books: pr.Codebooks
-    keys: pr.PrototypeKeys
     heads: ls.ClassifierHeads
     bank1: dict = field(default_factory=dict)   # class -> MoG over E_vis features
     bank2: dict = field(default_factory=dict)   # class -> MoG over CLS features
     class_names: dict = field(default_factory=dict)
     class_embeds: dict = field(default_factory=dict)
-    task_classes: dict = field(default_factory=dict)  # task -> ordered class ids
     current_task: int = -1
     seed: int = 0
     variant: str | None = None
@@ -110,7 +108,7 @@ def new_state(config: EncoderConfig, seed: int, variant=None,
     prefix = PREFIX_TOKENS if variant == "prefix_tuning" else 0
     books = pr.Codebooks(d=config.d, L=config.L, d_prime=config.d_prime,
                          prefix_tokens=prefix)
-    return TrainerState(stack=stack, books=books, keys=pr.PrototypeKeys(),
+    return TrainerState(stack=stack, books=books,
                         heads=ls.ClassifierHeads(d_prime=config.d_prime),
                         seed=seed, variant=variant, feature_space=feature_space,
                         rng=Rng(seed).child("trainer"))
@@ -184,7 +182,7 @@ def _stage1(state: TrainerState, task: Task, hp: Hyperparams, z_train, rng):
     cids = list(task.class_ids)
     pos = {cid: i for i, cid in enumerate(cids)}
     labels_all = np.array([pos[int(y)] for y in task.train_y])
-    past = [books.p[c] for c in books.class_ids if not books.trainable[c]]
+    past = [books.p[c] for c in books.class_ids if c not in pos]
     adam = optim.AdamState(lr=hp.lr1)
     for _ in range(hp.E1):
         for idx in _batches(len(z_train), hp.batch_size, rng.child(("s1", adam.step_count))):
@@ -201,12 +199,12 @@ def _stage1(state: TrainerState, task: Task, hp: Hyperparams, z_train, rng):
 def _stage1_replay(state: TrainerState, task: Task, hp: Hyperparams, rng):
     books, stack, cfg = state.books, state.stack, state.stack.config
     cids = list(task.class_ids)
-    all_cids = sorted(books.class_ids)
+    all_cids = books.class_ids
     adam = optim.AdamState(lr=hp.lr1)
     for ep in range(hp.E2):
         p_t = _stacked_leaf(books.p, cids)
         live = pr.key_tensor(books, stack, state.class_embeds, cids, p_t)
-        table, row = _class_rows(all_cids, state.keys.keys, cids, live)
+        table, row = _class_rows(all_cids, books.keys, cids, live)
         key_rows = ad.take(table, [row[c] for c in all_cids])
         loss = ls.gr_loss_first(key_rows, state.bank1, all_cids, hp.n_replay,
                                 cfg.tau, rng.child(("gr1", ep)))
@@ -224,7 +222,7 @@ def _conditioned_cls(state: TrainerState, tokens, sel: pr.Selection, live=None,
     the confidences are rebuilt in the graph so gradient reaches A.
     """
     books = state.books
-    ids = state.keys.class_ids()
+    ids = books.class_ids
     live_ids, q_live, a_live = live or ((), None, None)
     q_table, row = _class_rows(ids, books.Q, live_ids, q_live)
     rows = [row[c] for c in sel.class_id]
@@ -234,7 +232,7 @@ def _conditioned_cls(state: TrainerState, tokens, sel: pr.Selection, live=None,
     if state.variant != "no_conf_mod":
         if a_live is not None and z_batch is not None:
             a_table, _ = _class_rows(ids, books.A, live_ids, a_live)
-            keys = np.stack([state.keys.keys[c] for c in sel.class_id])
+            keys = np.stack([books.keys[c] for c in sel.class_id])
             sim = pr.weighted_similarity(z_batch, ad.take(a_table, rows), keys)
         else:
             sim = sel.sim
@@ -243,7 +241,7 @@ def _conditioned_cls(state: TrainerState, tokens, sel: pr.Selection, live=None,
 
 
 def _select_batch(state: TrainerState, z) -> pr.Selection:
-    return pr.select(state.keys, z, state.books.A)
+    return pr.select(state.books.keys, z, state.books.A)
 
 
 def _stage2(state: TrainerState, task: Task, hp: Hyperparams, tokens, z_train, rng):
@@ -253,7 +251,7 @@ def _stage2(state: TrainerState, task: Task, hp: Hyperparams, tokens, z_train, r
     labels_all = np.array([pos[int(y)] for y in task.train_y])
     state.heads.add_task(task.task_id, cids)
     head_w, head_b = state.heads.heads[task.task_id]
-    past_qs = [books.Q[c] for c in books.class_ids if not books.trainable[c]]
+    past_qs = [books.Q[c] for c in books.class_ids if c not in pos]
     adam = optim.AdamState(lr=hp.lr2)
     params = {f"Q{c}": books.Q[c] for c in cids}
     params.update({f"A{c}": books.A[c] for c in cids})
@@ -304,7 +302,8 @@ def _stage2_replay(state: TrainerState, hp: Hyperparams, rng):
 
 def train_task(state: TrainerState, task: Task, hp: Hyperparams,
                class_names: dict | None = None) -> TrainerState:
-    """Run both training stages on one task and freeze its prompts."""
+    """Run both training stages on one task. Only this task's rows ever
+    become graph leaves, so earlier classes' prompts stay bitwise frozen."""
     if task.task_id != state.current_task + 1:
         raise TrainerError(
             f"task {task.task_id} out of order (expected {state.current_task + 1})")
@@ -314,7 +313,6 @@ def train_task(state: TrainerState, task: Task, hp: Hyperparams,
     rng = state.rng.child(("task", task.task_id))
     _register_names(state, task, class_names)
     pr.extend_codebooks(state.books, task.class_ids, rng.child("init"), task.task_id)
-    state.task_classes[task.task_id] = list(task.class_ids)
 
     raw = _raw_inputs(state, task.train_x)
     z_train = vision_encode(state.stack, raw)
@@ -327,7 +325,7 @@ def train_task(state: TrainerState, task: Task, hp: Hyperparams,
         keys = pr.key_tensor(state.books, state.stack, state.class_embeds, cids,
                              ad.constant(ctx)).data
         for i, cid in enumerate(cids):
-            state.keys.keys[cid] = keys[i].copy()
+            state.books.keys[cid] = keys[i].copy()
     else:
         _stage1(state, task, hp, z_train, rng.child("stage1"))
         if state.variant != "no_replay":
@@ -335,7 +333,7 @@ def train_task(state: TrainerState, task: Task, hp: Hyperparams,
                       hp.M, rng, "mog1")
             _stage1_replay(state, task, hp, rng.child("replay1"))
         # cache keys of the (now final) current prompts
-        state.keys = pr.compute_keys(state.books, state.stack, state.class_embeds)
+        state.books.keys = pr.compute_keys(state.books, state.stack, state.class_embeds)
 
     if state.variant != "first_level_only":
         _stage2(state, task, hp, tokens, z_train, rng.child("stage2"))
@@ -346,8 +344,6 @@ def train_task(state: TrainerState, task: Task, hp: Hyperparams,
                       hp.M, rng, "mog2")
             _stage2_replay(state, hp, rng.child("replay2"))
 
-    for cid in task.class_ids:
-        state.books.trainable[cid] = False
     state.current_task = task.task_id
     return state
 
@@ -368,7 +364,7 @@ def predict_batch(state: TrainerState, x):
     chosen = sel.class_id.tolist()
     if state.variant == "first_level_only":
         # classify straight from the key posteriors
-        ids = state.keys.class_ids()
+        ids = sorted(state.books.keys)
         logits = sel.sims / state.stack.config.tau
         preds = [ids[int(i)] for i in np.argmax(logits, axis=1)]
         return preds, logits, chosen
@@ -395,7 +391,7 @@ def evaluate(state: TrainerState, task: Task) -> float:
 
 def save_checkpoint(state: TrainerState, out_dir) -> None:
     os.makedirs(out_dir, exist_ok=True)
-    pr.save_codebooks(os.path.join(out_dir, "codebooks.bin"), state.books, state.keys)
+    pr.save_codebooks(os.path.join(out_dir, "codebooks.bin"), state.books)
     ls.save_heads(os.path.join(out_dir, "heads.bin"), state.heads)
     if state.bank1:
         gmm.save_bank(os.path.join(out_dir, "bank1.bin"), state.bank1)
@@ -407,7 +403,6 @@ def save_checkpoint(state: TrainerState, out_dir) -> None:
         "current_task": state.current_task,
         "feature_space": state.feature_space,
         "class_names": {str(k): v for k, v in state.class_names.items()},
-        "task_classes": {str(k): v for k, v in state.task_classes.items()},
         "encoder": asdict(state.stack.config),
     }
     with open(os.path.join(out_dir, "trainer.json"), "w") as f:
@@ -421,7 +416,7 @@ def load_checkpoint(out_dir) -> TrainerState:
     config = EncoderConfig(**meta["encoder"])
     state = new_state(config, meta["seed"], meta["variant"],
                       feature_space=meta["feature_space"])
-    state.books, state.keys = pr.load_codebooks(os.path.join(out_dir, "codebooks.bin"))
+    state.books = pr.load_codebooks(os.path.join(out_dir, "codebooks.bin"))
     state.heads = ls.load_heads(os.path.join(out_dir, "heads.bin"))
     for name, attr in (("bank1.bin", "bank1"), ("bank2.bin", "bank2")):
         path = os.path.join(out_dir, name)
@@ -429,8 +424,6 @@ def load_checkpoint(out_dir) -> TrainerState:
             setattr(state, attr, gmm.load_bank(path))
     state.current_task = meta["current_task"]
     state.class_names = {int(k): v for k, v in meta["class_names"].items()}
-    state.task_classes = {int(k): [int(c) for c in v]
-                          for k, v in meta["task_classes"].items()}
     for cid, name in state.class_names.items():
         state.class_embeds[cid] = class_name_embed(name, config)
     return state

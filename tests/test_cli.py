@@ -84,6 +84,7 @@ def test_build_experiment_defaults_and_overrides():
     ("exp.cfg", "E1 = true"),
     ("exp.cfg", "seeds = a,b"),
     ("exp.cfg", "seeds = true"),
+    ("exp.cfg", "seeds = 1,1"),
     ("exp.json", '{"variant": {"no_replay": true}}'),
 ])
 def test_build_experiment_type_checks_name_the_key(tmp_path, name, text):
@@ -101,7 +102,8 @@ def test_float_keys_accept_ints():
     assert type(config.hp.lr1) is float
 
 
-@pytest.mark.parametrize("text", ["d_prime = 65", "tau = 0", '{"num_tasks": 1,'])
+@pytest.mark.parametrize("text", ["d_prime = 65", "tau = 0", '{"num_tasks": 1,',
+                                  "test_per_class = 0"])
 def test_run_bad_config_prints_error(tmp_path, capsys, text):
     path = tmp_path / "bad.cfg"
     path.write_text(text)
@@ -185,6 +187,10 @@ def test_diag_subcommand(tmp_path):
         rows = list(csv.reader(f))[1:]
     C = np.array([[float(v) for v in row[1:]] for row in rows])
     np.testing.assert_allclose(C.sum(axis=1), np.ones(len(rows)), atol=1e-9)
+    # the checkpoint's task grouping reproduces the run's own confusion
+    with open(os.path.join(diag_out, "confusion.csv"), "rb") as a, \
+            open(os.path.join(out, "confusion_seed3.csv"), "rb") as b:
+        assert a.read() == b.read()
 
 
 def test_ablate_writes_one_row_per_variant(tmp_path):

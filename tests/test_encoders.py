@@ -72,9 +72,10 @@ def test_class_name_embed_properties():
     a = enc.class_name_embed("dog", cfg)
     b = enc.class_name_embed("dog", cfg)
     c = enc.class_name_embed("cat", cfg)
-    np.testing.assert_array_equal(a.vector, b.vector)
-    assert float(a.vector @ c.vector) < 0.99
-    assert abs(np.linalg.norm(a.vector) - 1.0) < 1e-6
+    np.testing.assert_array_equal(a, b)
+    assert a.dtype == np.float32 and a.shape == (cfg.d,)
+    assert float(a @ c) < 0.99
+    assert abs(np.linalg.norm(a) - 1.0) < 1e-6
     with pytest.raises(ValueError):
         enc.class_name_embed("", cfg)
 

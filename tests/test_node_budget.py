@@ -80,7 +80,7 @@ def test_conditioned_cls_nodes_do_not_grow_with_batch(count_nodes):
     for cid in books.class_ids:
         books.Q[cid] = rng.normal(books.q_shape(), std=0.1)
         v = rng.normal((cfg.d,))
-        state.keys.keys[cid] = v / np.linalg.norm(v)
+        books.keys[cid] = v / np.linalg.norm(v)
     cids = [2, 3]
     counts = []
     for b in (2, 16):

@@ -22,11 +22,11 @@ def test_extend_freezes_and_preserves_old_entries():
     old_p = {c: books.p[c].copy() for c in (0, 1)}
     pr.extend_codebooks(books, [2, 3], Rng(2), task_id=1)
     assert books.class_ids == [0, 1, 2, 3]
+    assert books.task_of == {0: 0, 1: 0, 2: 1, 3: 1}
+    assert not books.keys  # keys are computed once the prompts are trained
     for c in (0, 1):
         assert books.p[c].tobytes() == old_p[c].tobytes()
-        assert not books.trainable[c]
     for c in (2, 3):
-        assert books.trainable[c]
         assert np.all(books.Q[c] == 0.0)
         np.testing.assert_array_equal(books.A[c], np.ones(books.d, np.float32))
 
@@ -52,22 +52,24 @@ def test_compute_keys_contracts():
     embeds = {0: enc.class_name_embed("class-0", cfg), 1: enc.class_name_embed("class-1", cfg)}
     keys = pr.compute_keys(books, stack, embeds)
     again = pr.compute_keys(books, stack, embeds)
+    assert sorted(keys) == [0, 1]
     for c in (0, 1):
-        assert abs(np.linalg.norm(keys.keys[c]) - 1.0) < 1e-6
-        assert keys.keys[c].tobytes() == again.keys[c].tobytes()
+        assert abs(np.linalg.norm(keys[c]) - 1.0) < 1e-6
+        assert keys[c].tobytes() == again[c].tobytes()
     # key responds to the prompt
     books.p[0] = books.p[0] + 0.5
     moved = pr.compute_keys(books, stack, embeds)
-    assert not np.allclose(moved.keys[0], keys.keys[0])
+    assert not np.allclose(moved[0], keys[0])
     with pytest.raises(pr.CodebookError):
         pr.compute_keys(books, stack, {0: embeds[0]})
 
 
 def basis_keys(d=4):
-    keys = pr.PrototypeKeys()
-    keys.keys[1] = np.eye(d, dtype=np.float32)[0]
-    keys.keys[2] = np.eye(d, dtype=np.float32)[1]
-    return keys
+    return {1: np.eye(d, dtype=np.float32)[0], 2: np.eye(d, dtype=np.float32)[1]}
+
+
+def unit_weights(keys):
+    return {c: np.ones_like(v) for c, v in keys.items()}
 
 
 def test_select_hand_oracle():
@@ -80,20 +82,17 @@ def test_select_hand_oracle():
 
 
 def test_select_single_class_and_empty():
-    keys = pr.PrototypeKeys()
-    keys.keys[7] = np.array([0, 1, 0, 0], np.float32)
-    sel = pr.select(keys, np.array([1, 0, 0, 0], np.float32), None)
+    keys = {7: np.array([0, 1, 0, 0], np.float32)}
+    sel = pr.select(keys, np.array([1, 0, 0, 0], np.float32), unit_weights(keys))
     assert sel.class_id == 7
     with pytest.raises(pr.CodebookError):
-        pr.select(pr.PrototypeKeys(), np.ones(4, np.float32), None)
+        pr.select({}, np.ones(4, np.float32), {})
 
 
 def test_select_tie_goes_to_lowest_index():
-    keys = pr.PrototypeKeys()
     v = np.array([1.0, 0, 0, 0], np.float32)
-    keys.keys[3] = v.copy()
-    keys.keys[7] = v.copy()
-    sel = pr.select(keys, v, None)
+    keys = {3: v.copy(), 7: v.copy()}
+    sel = pr.select(keys, v, unit_weights(keys))
     assert sel.class_id == 3
 
 
@@ -109,24 +108,24 @@ def test_select_scale_invariance():
 
 def test_select_orthonormal_query_equals_key():
     keys = basis_keys()
-    sel = pr.select(keys, keys.keys[1], {1: np.ones(4, np.float32), 2: np.ones(4, np.float32)})
+    sel = pr.select(keys, keys[1], unit_weights(keys))
     assert sel.class_id == 1
     assert abs(sel.sim - 1.0) < 1e-6
 
 
 def test_select_batch_equals_row_by_row():
     rng = Rng(10)
-    keys = pr.PrototypeKeys()
+    keys = {}
     for cid in (2, 5, 9, 11):
         v = rng.normal((6,))
-        keys.keys[cid] = v / np.linalg.norm(v)
-    keys.keys[9] = keys.keys[5].copy()  # exact tie between classes 5 and 9
-    A = {c: rng.normal((6,)) + 1.0 for c in keys.keys}
+        keys[cid] = v / np.linalg.norm(v)
+    keys[9] = keys[5].copy()  # exact tie between classes 5 and 9
+    A = {c: rng.normal((6,)) + 1.0 for c in keys}
     A[9] = A[5].copy()
     z = rng.normal((7, 6))
-    z[3] = keys.keys[5] / A[5]  # ties 5 against 9
-    z[4] = 0.0                  # zero row
-    for weights in (A, None):
+    z[3] = keys[5] / A[5]  # ties 5 against 9
+    z[4] = 0.0             # zero row
+    for weights in (A, unit_weights(keys)):
         sel = pr.select(keys, z, weights)
         assert sel.class_id.shape == sel.sim.shape == (7,)
         assert sel.sims.shape == (7, 4)
@@ -225,14 +224,14 @@ def test_codebook_checkpoint_round_trip(tmp_path):
     pr.extend_codebooks(books, [0, 1], Rng(1), task_id=0)
     pr.extend_codebooks(books, [2], Rng(2), task_id=1)
     embeds = {c: enc.class_name_embed(f"c{c}", cfg) for c in books.class_ids}
-    keys = pr.compute_keys(books, stack, embeds)
+    books.keys = pr.compute_keys(books, stack, embeds)
     path = tmp_path / "books.bin"
-    pr.save_codebooks(path, books, keys)
-    back, bkeys = pr.load_codebooks(path)
+    pr.save_codebooks(path, books)
+    back = pr.load_codebooks(path)
     assert back.class_ids == books.class_ids
+    assert back.task_of == books.task_of
     for c in books.class_ids:
         assert back.p[c].tobytes() == books.p[c].tobytes()
         assert back.Q[c].tobytes() == books.Q[c].tobytes()
-        assert back.trainable[c] == books.trainable[c]
-        assert back.task_of[c] == books.task_of[c]
-        assert bkeys.keys[c].tobytes() == keys.keys[c].tobytes()
+        assert back.A[c].tobytes() == books.A[c].tobytes()
+        assert back.keys[c].tobytes() == books.keys[c].tobytes()

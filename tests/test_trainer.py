@@ -89,8 +89,9 @@ def test_key_cache_coherence():
     stream = small_stream()
     state = run_stream(stream)
     fresh = pr.compute_keys(state.books, state.stack, state.class_embeds)
-    for cid, w in state.keys.keys.items():
-        np.testing.assert_array_equal(w, fresh.keys[cid])
+    assert sorted(fresh) == sorted(state.books.keys)
+    for cid, w in state.books.keys.items():
+        np.testing.assert_array_equal(w, fresh[cid])
 
 
 def test_out_of_order_and_empty_task_rejected():
@@ -165,7 +166,7 @@ def test_no_first_level_uses_static_keys():
     stream = small_stream(num_tasks=2)
     state = run_stream(stream, variant="no_first_level")
     # keys exist for every class but no first-level mixture was fitted
-    assert sorted(state.keys.keys) == state.books.class_ids
+    assert sorted(state.books.keys) == state.books.class_ids
     assert not state.bank1
     # prompts p were never trained: still at their tiny init scale
     for cid in state.books.class_ids:
@@ -202,13 +203,15 @@ def test_determinism_same_seed():
 
 
 def test_checkpoint_round_trip(tmp_path):
+    from promptcl import featureio
+    from promptcl import prompts as pr
     stream = small_stream(num_tasks=2)
     state = run_stream(stream)
     tr.save_checkpoint(state, tmp_path)
     back = tr.load_checkpoint(tmp_path)
     assert back.stack.config == state.stack.config
     assert back.current_task == state.current_task
-    assert back.task_classes == state.task_classes
+    assert back.books.task_of == state.books.task_of
     x = stream.tasks[1].test_x
     pa, la, ca = tr.predict_batch(state, x)
     pb, lb, cb = tr.predict_batch(back, x)
@@ -217,6 +220,24 @@ def test_checkpoint_round_trip(tmp_path):
     with open(tmp_path / "trainer.json") as f:
         meta = json.load(f)
     assert meta["current_task"] == 1
+
+    # older checkpoints also stored each class's freeze flag and the task ->
+    # class lists; a reader ignores both
+    books_path = tmp_path / "codebooks.bin"
+    arrays = featureio.read_archive(books_path, pr.CODEBOOK_MAGIC)
+    old = {k: arrays[k] for k in ("meta", "class_ids")}
+    old["trainable"] = np.zeros(len(arrays["class_ids"]), np.int64)
+    old.update((k, v) for k, v in arrays.items() if k not in old)
+    featureio.write_archive(books_path, pr.CODEBOOK_MAGIC, old)
+    meta["task_classes"] = {str(t): [int(c) for c in task.class_ids]
+                            for t, task in enumerate(stream.tasks)}
+    with open(tmp_path / "trainer.json", "w") as f:
+        json.dump(meta, f)
+    older = tr.load_checkpoint(tmp_path)
+    assert older.books.task_of == back.books.task_of
+    po, lo, co = tr.predict_batch(older, x)
+    assert po == pb and co == cb
+    assert lo.tobytes() == lb.tobytes()
 
 
 def test_feature_space_stream_trains(tmp_path):
