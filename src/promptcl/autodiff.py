@@ -11,10 +11,15 @@ Graphs are built eagerly and single-threaded; ``backward`` walks the tape in
 reverse topological order exactly once. Storage defaults to float32 (switchable
 to float64 for finite-difference oracles via ``use_dtype``); the layer-norm
 statistics inside ``frozen_block`` are accumulated in float64 regardless.
+
+On import, glibc's allocator is told to keep freed memory mapped (see
+``HEAP_KEPT_MAPPED``), so the block kernel's per-call temporaries are reused
+instead of being unmapped and faulted in again on the next call.
 """
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import math
 
 import numpy as np
@@ -34,6 +39,27 @@ class NonFiniteError(PromptclError, FloatingPointError):
 class GraphError(PromptclError, RuntimeError):
     """Raised on graph misuse, e.g. backward called twice on one graph."""
 
+
+# glibc mallopt parameters (malloc.h) and the values set at import: blocks up
+# to 32 MiB come from the heap, and the heap is trimmed only above 64 MiB free
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_HEAP_SETTINGS = ((_M_MMAP_THRESHOLD, 32 << 20), (_M_TRIM_THRESHOLD, 64 << 20))
+
+
+def _keep_freed_heap_mapped() -> bool:
+    """Apply ``_HEAP_SETTINGS`` through glibc's ``mallopt``; returns whether
+    every setting was accepted. Without glibc ``mallopt`` this does nothing."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    return all([mallopt(param, value) == 1 for param, value in _HEAP_SETTINGS])
+
+
+HEAP_KEPT_MAPPED = _keep_freed_heap_mapped()
 
 _DTYPE = np.float32
 

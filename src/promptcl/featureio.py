@@ -130,7 +130,30 @@ def read_archive(path, magic: bytes) -> dict:
         shape = struct.unpack(f"<{ndim}I", chunk(4 * ndim, f"the shape of {name!r}"))
         dt = np.dtype(_DTYPES[code])
         payload = chunk(math.prod(shape) * dt.itemsize, f"array {name!r}")
-        arrays[name] = np.frombuffer(payload, dtype=dt).reshape(shape).copy()
+        try:
+            arrays[name] = np.frombuffer(payload, dtype=dt).reshape(shape).copy()
+        except ValueError:  # numpy's rank or size limits
+            raise FormatError(f"{path}: array {name!r} has unsupported shape {shape}") from None
     if off != len(raw):
         raise FormatError(f"{path}: trailing bytes")
     return arrays
+
+
+_KINDS = {"f": "float", "i": "integer"}
+
+
+def archive_entry(arrays: dict, path, name: str, kind: str, shape=None) -> np.ndarray:
+    """Entry ``name`` of the archive read from ``path``, checked for its dtype
+    kind ("f" float or "i" integer) and, if given, its ``shape`` (None
+    matches any length). A missing or mismatched entry raises FormatError
+    naming the file and the entry."""
+    if name not in arrays:
+        raise FormatError(f"{path}: missing entry {name!r}")
+    arr = arrays[name]
+    fits = shape is None or (arr.ndim == len(shape) and all(
+        want in (None, got) for got, want in zip(arr.shape, shape)))
+    if arr.dtype.kind != kind or not fits:
+        want = "" if shape is None else f" of shape {tuple(shape)}"
+        raise FormatError(f"{path}: entry {name!r} is {arr.dtype.name} of shape "
+                          f"{arr.shape}, expected {_KINDS[kind]}{want}")
+    return arr

@@ -12,7 +12,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from . import PromptclError
-from .featureio import FormatError, read_archive, write_archive
+from .featureio import FormatError, archive_entry, read_archive, write_archive
 from .rng import Rng
 
 MOG_MAGIC = b"STARMOGB"
@@ -163,12 +163,13 @@ def save_bank(path, bank: dict) -> None:
 
 
 def load_bank(path) -> dict:
-    """Read a bank written by ``save_bank``; other entries are ignored."""
+    """Read a bank written by ``save_bank``; other entries are ignored, and a
+    missing or misshapen one raises FormatError."""
     arrays = read_archive(path, MOG_MAGIC)
     bank = {}
-    for cid in arrays["class_ids"]:
-        cid = int(cid)
-        w, mu, cov = arrays[f"w{cid}"], arrays[f"mu{cid}"], arrays[f"cov{cid}"]
+    for cid in archive_entry(arrays, path, "class_ids", "i", (None,)).tolist():
+        w, mu, cov = (archive_entry(arrays, path, f"{part}{cid}", "f")
+                      for part in ("w", "mu", "cov"))
         if w.ndim != 1 or mu.ndim != 2 or mu.shape[0] != w.shape[0] or cov.shape != mu.shape:
             raise FormatError(
                 f"{path}: class {cid} mixture shapes weights {w.shape}, means "

@@ -14,7 +14,7 @@ import numpy as np
 from . import PromptclError
 from . import autodiff as ad
 from . import gmm
-from .featureio import read_archive, write_archive
+from .featureio import archive_entry, read_archive, write_archive
 from .rng import Rng
 
 HEADS_MAGIC = b"STARHEAD"
@@ -157,10 +157,14 @@ def save_heads(path, heads: ClassifierHeads) -> None:
 
 
 def load_heads(path) -> ClassifierHeads:
+    """Read heads written by ``save_heads``; a missing or misshapen entry
+    raises FormatError."""
     arrays = read_archive(path, HEADS_MAGIC)
-    heads = ClassifierHeads(d_prime=int(arrays["d_prime"][0]))
-    for t in arrays["tasks"]:
-        t = int(t)
-        heads.heads[t] = (arrays[f"w{t}"], arrays[f"b{t}"])
-        heads.classes[t] = [int(c) for c in arrays[f"classes{t}"]]
+    (d_prime,) = archive_entry(arrays, path, "d_prime", "i", (1,)).tolist()
+    heads = ClassifierHeads(d_prime=d_prime)
+    for t in archive_entry(arrays, path, "tasks", "i", (None,)).tolist():
+        classes = archive_entry(arrays, path, f"classes{t}", "i", (None,)).tolist()
+        heads.heads[t] = (archive_entry(arrays, path, f"w{t}", "f", (d_prime, len(classes))),
+                          archive_entry(arrays, path, f"b{t}", "f", (len(classes),)))
+        heads.classes[t] = classes
     return heads

@@ -15,7 +15,7 @@ import numpy as np
 from . import PromptclError
 from . import autodiff as ad
 from .encoders import FrozenStack, text_encode
-from .featureio import read_archive, write_archive
+from .featureio import archive_entry, read_archive, write_archive
 from .rng import Rng
 
 CODEBOOK_MAGIC = b"STARCDBK"
@@ -88,6 +88,10 @@ class Selection:
     sim: np.ndarray        # (b,)
     sims: np.ndarray       # over the key class ids, ascending order; (b, C)
 
+    def __getitem__(self, rows) -> Selection:
+        """The selections of query rows ``rows`` (an index or a slice)."""
+        return Selection(self.class_id[rows], self.sim[rows], self.sims[rows])
+
 
 def select(keys: dict, z, A: dict) -> Selection:
     """Pick, per query row, the class whose prototype key best matches it.
@@ -154,16 +158,18 @@ def save_codebooks(path, books: Codebooks) -> None:
 
 
 def load_codebooks(path) -> Codebooks:
-    """Read codebooks written by ``save_codebooks``; other entries are ignored."""
+    """Read codebooks written by ``save_codebooks``; other entries are ignored,
+    and a missing or misshapen one raises FormatError."""
     arrays = read_archive(path, CODEBOOK_MAGIC)
-    d, L, d_prime, prefix_tokens = (int(v) for v in arrays["meta"])
+    d, L, d_prime, prefix_tokens = archive_entry(arrays, path, "meta", "i", (4,)).tolist()
     books = Codebooks(d=d, L=L, d_prime=d_prime, prefix_tokens=prefix_tokens)
-    for cid, task in zip(arrays["class_ids"], arrays["task_of"], strict=True):
-        cid = int(cid)
-        books.p[cid] = arrays[f"p{cid}"]
-        books.Q[cid] = arrays[f"Q{cid}"]
-        books.A[cid] = arrays[f"A{cid}"]
-        books.task_of[cid] = int(task)
+    cids = archive_entry(arrays, path, "class_ids", "i", (None,)).tolist()
+    tasks = archive_entry(arrays, path, "task_of", "i", (len(cids),)).tolist()
+    for cid, task in zip(cids, tasks):
+        books.p[cid] = archive_entry(arrays, path, f"p{cid}", "f", (d,))
+        books.Q[cid] = archive_entry(arrays, path, f"Q{cid}", "f", books.q_shape())
+        books.A[cid] = archive_entry(arrays, path, f"A{cid}", "f", (d,))
+        books.task_of[cid] = task
         if f"w{cid}" in arrays:
-            books.keys[cid] = arrays[f"w{cid}"]
+            books.keys[cid] = archive_entry(arrays, path, f"w{cid}", "f", (d,))
     return books

@@ -30,6 +30,11 @@ VARIANTS = ("first_level_only", "no_first_level", "prefix_tuning",
 
 PREFIX_TOKENS = 5
 
+# samples per forward-only encoder pass: at the acceptance geometry a 64-query
+# chunk keeps the block kernel's MLP activations near 1 MiB, where a whole
+# evaluation set of hundreds of queries pushed several MB through every op
+ENCODE_CHUNK = 64
+
 
 class TrainerError(PromptclError):
     pass
@@ -145,6 +150,16 @@ def _fit_bank(bank, feats, labels, class_ids, m, seed_rng, tag):
         cfg = gmm.EMConfig(m=min(m, len(pts)),
                            seed=int(seed_rng.child((tag, cid)).integers(0, 2**31)))
         bank[cid] = gmm.fit_em(pts, cfg)
+
+
+def _encode_rows(fn, n: int) -> np.ndarray:
+    """``fn(rows)`` over consecutive slices of at most ``ENCODE_CHUNK`` of
+    ``n`` samples, rows concatenated. Only for forward-only encoder passes,
+    whose rows do not depend on the batch they are computed in."""
+    if n <= ENCODE_CHUNK:
+        return fn(slice(None))
+    return np.concatenate([fn(slice(i, i + ENCODE_CHUNK))
+                           for i in range(0, n, ENCODE_CHUNK)])
 
 
 def _stacked_leaf(arrays: dict, cids) -> ad.Tensor:
@@ -315,7 +330,7 @@ def train_task(state: TrainerState, task: Task, hp: Hyperparams,
     pr.extend_codebooks(state.books, task.class_ids, rng.child("init"), task.task_id)
 
     raw = _raw_inputs(state, task.train_x)
-    z_train = vision_encode(state.stack, raw)
+    z_train = _encode_rows(lambda s: vision_encode(state.stack, raw[s]), len(raw))
     tokens = embed_tokens(state.stack, raw)
 
     if state.variant == "no_first_level":
@@ -339,7 +354,8 @@ def train_task(state: TrainerState, task: Task, hp: Hyperparams,
         _stage2(state, task, hp, tokens, z_train, rng.child("stage2"))
         if state.variant != "no_replay":
             sel = _select_batch(state, z_train)
-            cls_feats = _conditioned_cls(state, tokens, sel).data
+            cls_feats = _encode_rows(
+                lambda s: _conditioned_cls(state, tokens[s], sel[s]).data, len(tokens))
             _fit_bank(state.bank2, cls_feats, task.train_y, task.class_ids,
                       hp.M, rng, "mog2")
             _stage2_replay(state, hp, rng.child("replay2"))
@@ -360,7 +376,9 @@ def predict_batch(state: TrainerState, x):
     raw = _raw_inputs(state, x)
     if raw.ndim != 3:
         raise TrainerError(f"predict_batch takes a batch of inputs, got shape {np.shape(x)}")
-    sel = _select_batch(state, vision_encode(state.stack, raw))
+    # the encoders run in chunks; selection and the heads see the whole batch
+    z = _encode_rows(lambda s: vision_encode(state.stack, raw[s]), len(raw))
+    sel = _select_batch(state, z)
     chosen = sel.class_id.tolist()
     if state.variant == "first_level_only":
         # classify straight from the key posteriors
@@ -369,7 +387,8 @@ def predict_batch(state: TrainerState, x):
         preds = [ids[int(i)] for i in np.argmax(logits, axis=1)]
         return preds, logits, chosen
     tokens = embed_tokens(state.stack, raw)
-    feats = _conditioned_cls(state, tokens, sel).data
+    feats = _encode_rows(
+        lambda s: _conditioned_cls(state, tokens[s], sel[s]).data, len(raw))
     cols = []
     for t in state.heads.task_ids():
         w, b = state.heads.heads[t]

@@ -1,0 +1,146 @@
+"""The checkpoint readers on incomplete, inconsistent and corrupted files:
+each returns or raises FormatError, never another exception."""
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from promptcl import gmm
+from promptcl import losses as ls
+from promptcl import prompts as pr
+from promptcl.featureio import (FormatError, load_feature_file, read_archive,
+                                write_archive, write_feature_file)
+from promptcl.rng import Rng
+
+
+def _heads():
+    heads = ls.ClassifierHeads(d_prime=3)
+    heads.add_task(0, [4, 7])
+    heads.add_task(1, [2])
+    return heads
+
+
+def _books(prefix_tokens):
+    books = pr.Codebooks(d=4, L=2, d_prime=3, prefix_tokens=prefix_tokens)
+    pr.extend_codebooks(books, [4, 7], Rng(0), 0)
+    pr.extend_codebooks(books, [2], Rng(1), 1)
+    books.keys[4] = np.full(4, 0.5, np.float32)
+    return books
+
+
+def _bank():
+    return {c: gmm.MoG(weights=np.array([0.25, 0.75]), means=np.zeros((2, 3)),
+                       covs=np.ones((2, 3))) for c in (2, 4)}
+
+
+# name -> (magic, writer of a valid file, reader)
+ARCHIVES = {
+    "heads": (ls.HEADS_MAGIC, lambda p: ls.save_heads(p, _heads()), ls.load_heads),
+    "codebooks": (pr.CODEBOOK_MAGIC, lambda p: pr.save_codebooks(p, _books(0)),
+                  pr.load_codebooks),
+    "prefix_codebooks": (pr.CODEBOOK_MAGIC, lambda p: pr.save_codebooks(p, _books(2)),
+                         pr.load_codebooks),
+    "bank": (gmm.MOG_MAGIC, lambda p: gmm.save_bank(p, _bank()), gmm.load_bank),
+}
+READERS = {name: (write, read) for name, (_, write, read) in ARCHIVES.items()}
+READERS["features"] = (
+    lambda p: write_feature_file(p, np.arange(12, dtype=np.float32).reshape(4, 3),
+                                 [0, 1, 0, 1]),
+    load_feature_file)
+
+
+def _load_or_format_error(read, path):
+    try:
+        read(path)
+    except FormatError:
+        pass
+
+
+INCOMPLETE = [  # (reader, edit of a valid archive, entry the error names)
+    ("heads", lambda a: a.pop("d_prime"), "d_prime"),
+    ("heads", lambda a: a.pop("w1"), "w1"),
+    ("heads", lambda a: a.update(b0=a["b0"][:1]), "b0"),
+    ("codebooks", lambda a: a.pop("p7"), "p7"),
+    ("codebooks", lambda a: a.update(task_of=a["task_of"][:2]), "task_of"),
+    ("codebooks", lambda a: a.update(meta=a["meta"][:3]), "meta"),
+    ("codebooks", lambda a: a.update(class_ids=a["class_ids"].astype(np.float64)),
+     "class_ids"),
+    ("prefix_codebooks", lambda a: a.update(Q2=a["Q2"][:, :2]), "Q2"),
+    ("bank", lambda a: a.pop("mu4"), "mu4"),
+]
+
+
+@pytest.mark.parametrize("kind, edit, entry", INCOMPLETE,
+                         ids=[f"{kind}-{entry}" for kind, _, entry in INCOMPLETE])
+def test_incomplete_archive_names_file_and_entry(tmp_path, kind, edit, entry):
+    magic, write, read = ARCHIVES[kind]
+    path = tmp_path / f"{kind}.bin"
+    write(path)
+    read(path)
+    arrays = read_archive(path, magic)
+    edit(arrays)
+    write_archive(path, magic, arrays)
+    with pytest.raises(FormatError, match=rf"{kind}\.bin: .*'{entry}'"):
+        read(path)
+
+
+# one edit: (op, entry index, new name (an int picks an existing one), new
+# shape, new dtype, value offset)
+_EDITS = st.lists(st.tuples(
+    st.sampled_from(("drop", "rename", "reshape")),
+    st.integers(min_value=0),
+    st.one_of(st.integers(min_value=0), st.text("pQAwbmucovlasdtk_0123", max_size=6)),
+    st.lists(st.integers(0, 4), max_size=3),
+    st.sampled_from((np.float32, np.float64, np.int64)),
+    st.integers(-2, 8),
+), min_size=1, max_size=4)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(kind=st.sampled_from(sorted(ARCHIVES)), edits=_EDITS)
+def test_edited_archives_load_or_raise_format_error(tmp_path_factory, kind, edits):
+    magic, write, read = ARCHIVES[kind]
+    path = tmp_path_factory.getbasetemp() / f"edited_{kind}.bin"
+    write(path)
+    arrays = read_archive(path, magic)
+    for op, i, name, shape, dtype, offset in edits:
+        if not arrays:
+            break
+        key = sorted(arrays)[i % len(arrays)]
+        if op == "drop":
+            del arrays[key]
+        elif op == "rename":
+            new = sorted(arrays)[name % len(arrays)] if isinstance(name, int) else name
+            arrays[new] = arrays.pop(key)
+        else:
+            arrays[key] = (np.arange(math.prod(shape)).reshape(shape) + offset).astype(dtype)
+    write_archive(path, magic, arrays)
+    _load_or_format_error(read, path)
+
+
+# one mutation: (op, position, byte)
+_MUTATIONS = st.lists(st.tuples(st.sampled_from(("set", "insert", "delete")),
+                                st.integers(min_value=0), st.integers(0, 255)),
+                      min_size=1, max_size=6)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(kind=st.sampled_from(sorted(READERS)), mutations=_MUTATIONS)
+def test_mutated_bytes_load_or_raise_format_error(tmp_path_factory, kind, mutations):
+    write, read = READERS[kind]
+    path = tmp_path_factory.getbasetemp() / f"mutated_{kind}.bin"
+    write(path)
+    raw = bytearray(path.read_bytes())
+    for op, pos, byte in mutations:
+        pos %= len(raw) + 1
+        if op == "insert":
+            raw.insert(pos, byte)
+        elif pos < len(raw):
+            if op == "set":
+                raw[pos] = byte
+            else:
+                del raw[pos]
+    path.write_bytes(bytes(raw))
+    _load_or_format_error(read, path)

@@ -6,7 +6,8 @@ import re
 import numpy as np
 import pytest
 
-from promptcl import cli
+from promptcl import cli, featureio
+from promptcl import losses as ls
 from promptcl import trainer as tr
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
@@ -103,7 +104,8 @@ def test_float_keys_accept_ints():
 
 
 @pytest.mark.parametrize("text", ["d_prime = 65", "tau = 0", '{"num_tasks": 1,',
-                                  "test_per_class = 0"])
+                                  "test_per_class = 0", "noise = -1.0",
+                                  "separation = -2.0"])
 def test_run_bad_config_prints_error(tmp_path, capsys, text):
     path = tmp_path / "bad.cfg"
     path.write_text(text)
@@ -232,6 +234,14 @@ def test_diag_bad_inputs_print_error(tmp_path, capsys):
     assert cli.main(["diag", str(ckpt), one_task, "--out", str(tmp_path / "d")]) == 1
     assert capsys.readouterr().err.startswith(
         "error: stream lacks test samples for classes")
+    # a well-formed heads archive without one of its entries
+    heads = ckpt / "heads.bin"
+    arrays = featureio.read_archive(heads, ls.HEADS_MAGIC)
+    del arrays["d_prime"]
+    featureio.write_archive(heads, ls.HEADS_MAGIC, arrays)
+    assert cli.main(["diag", str(ckpt), cfg, "--out", str(tmp_path / "d")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "heads.bin" in err and "'d_prime'" in err
     books = ckpt / "codebooks.bin"
     books.write_bytes(books.read_bytes()[:-3])
     assert cli.main(["diag", str(ckpt), cfg, "--out", str(tmp_path / "d")]) == 1

@@ -120,3 +120,13 @@ def test_archive_bad_utf8_name_raises_format_error(tmp_path):
     path.write_bytes(bytes(raw))
     with pytest.raises(FormatError, match="UTF-8"):
         read_archive(path, b"STARTEST")
+
+
+@pytest.mark.parametrize("shape", [(0,) * 65, (0, 2**32 - 1, 2**32 - 1, 2**32 - 1)])
+def test_archive_shape_beyond_numpy_limits_raises_format_error(tmp_path, shape):
+    # zero-size payloads, so only numpy's rank and size limits can reject them
+    path = tmp_path / "a.bin"
+    path.write_bytes(b"STARTEST" + struct.pack("<III", 2, 1, 1) + b"a" + b"f4"
+                     + struct.pack(f"<I{len(shape)}I", len(shape), *shape))
+    with pytest.raises(FormatError, match="unsupported shape"):
+        read_archive(path, b"STARTEST")

@@ -60,6 +60,10 @@ def test_invalid_specs_rejected():
         sc.ScenarioSpec(kind="mystery")
     with pytest.raises(sc.ScenarioError):
         sc.ScenarioSpec(kind="feature-file")
+    with pytest.raises(sc.ScenarioError, match="noise"):
+        sc.ScenarioSpec(noise=-1.0)
+    with pytest.raises(sc.ScenarioError, match="separation"):
+        sc.ScenarioSpec(separation=-2.0)
 
 
 def test_feature_file_stream(tmp_path):

@@ -1,12 +1,17 @@
 import hashlib
 import json
+import resource
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from promptcl import autodiff as ad
+from promptcl import prompts as pr
 from promptcl import scenario as sc
 from promptcl import trainer as tr
 from promptcl.encoders import EncoderConfig
+from promptcl.rng import Rng
 
 # small stack + scenario so the full multi-task loop stays fast
 CFG = EncoderConfig(d=16, d_prime=32, L=2, heads=2, seq_len=5, patch_dim=8)
@@ -133,6 +138,64 @@ def test_conditioned_cls_rows_equal_single_sample_forwards():
         res = pr.build_residual(state.books.Q[int(sel.class_id[i])], float(sel.sim[i]))
         one = vit_forward(state.stack, tokens=tokens[i], residuals=res)
         assert feats[i].tobytes() == one.data.tobytes()
+
+
+@pytest.mark.parametrize("variant", [None, "first_level_only"])
+def test_predict_batch_bytes_do_not_depend_on_chunk_length(monkeypatch, variant):
+    stream = small_stream(num_tasks=2)
+    state = run_stream(stream, variant=variant, hp=replace(HP, E1=2, E2=1))
+    x = np.concatenate([t.train_x for t in stream.tasks])[:41]
+    encoded = []
+    real = tr.vision_encode
+    monkeypatch.setattr(tr, "vision_encode",
+                        lambda stack, x: encoded.append(len(x)) or real(stack, x))
+    outs = []
+    for chunk in (1, 7, 64, 1000):
+        monkeypatch.setattr(tr, "ENCODE_CHUNK", chunk)
+        preds, logits, chosen = tr.predict_batch(state, x)
+        outs.append((preds, logits.tobytes(), chosen))
+    assert encoded == [1] * 41 + [7] * 5 + [6] + [41, 41]
+    assert len(outs[0][0]) == 41
+    assert all(out == outs[0] for out in outs)
+
+
+def test_train_task_bytes_do_not_depend_on_chunk_length(monkeypatch):
+    # 24 training samples per task: chunks of 7 split both the query
+    # encoding and the bank-2 feature pass
+    stream = small_stream(num_tasks=2)
+    hp = replace(HP, E1=2, E2=1)
+    states = []
+    for chunk in (7, 1000):
+        monkeypatch.setattr(tr, "ENCODE_CHUNK", chunk)
+        states.append(run_stream(stream, hp=hp))
+    a, b = states
+    assert books_hash(a.books, a.books.class_ids) == books_hash(b.books, b.books.class_ids)
+    for bank in ("bank1", "bank2"):
+        for cid, mog in getattr(a, bank).items():
+            assert mog.means.tobytes() == getattr(b, bank)[cid].means.tobytes()
+            assert mog.covs.tobytes() == getattr(b, bank)[cid].covs.tobytes()
+    for t, (w, bias) in a.heads.heads.items():
+        assert w.tobytes() == b.heads.heads[t][0].tobytes()
+        assert bias.tobytes() == b.heads.heads[t][1].tobytes()
+
+
+@pytest.mark.skipif(not ad.HEAP_KEPT_MAPPED, reason="needs glibc's mallopt")
+def test_large_predict_batch_page_fault_budget():
+    # acceptance geometry, 400 queries (one 5x4 test set of 100 per class):
+    # freed kernel temporaries stay mapped, so a repeat call faults few pages
+    cfg = EncoderConfig(tau=0.1)
+    state = tr.new_state(cfg, seed=0)
+    cids = [0, 1, 2, 3]
+    pr.extend_codebooks(state.books, cids, Rng(1), 0)
+    keys = Rng(2).normal((len(cids), cfg.d))
+    state.books.keys = {c: k / np.linalg.norm(k) for c, k in zip(cids, keys)}
+    state.heads.add_task(0, cids)
+    state.current_task = 0
+    x = Rng(3).normal((400, cfg.patches, cfg.patch_dim))
+    tr.predict_batch(state, x)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    tr.predict_batch(state, x)
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 2000
 
 
 def test_unimodal_forces_single_component():
