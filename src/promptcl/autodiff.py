@@ -12,7 +12,8 @@ reverse topological order exactly once. Storage defaults to float32 (switchable
 to float64 for finite-difference oracles via ``use_dtype``); the layer-norm
 statistics inside ``frozen_block`` are accumulated in float64 regardless.
 
-On import, glibc's allocator is told to keep freed memory mapped (see
+Importing this module, and so importing ``promptcl``, changes glibc's
+allocator for the whole process: freed memory is kept mapped (see
 ``HEAP_KEPT_MAPPED``), so the block kernel's per-call temporaries are reused
 instead of being unmapped and faulted in again on the next call.
 """
@@ -48,15 +49,17 @@ _HEAP_SETTINGS = ((_M_MMAP_THRESHOLD, 32 << 20), (_M_TRIM_THRESHOLD, 64 << 20))
 
 
 def _keep_freed_heap_mapped() -> bool:
-    """Apply ``_HEAP_SETTINGS`` through glibc's ``mallopt``; returns whether
-    every setting was accepted. Without glibc ``mallopt`` this does nothing."""
+    """Apply ``_HEAP_SETTINGS`` in order through glibc's ``mallopt``, each
+    only if the one before it was accepted; returns whether all were. A
+    rejected mmap threshold leaves the allocator as it was. Without glibc
+    ``mallopt`` this does nothing."""
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (OSError, TypeError, AttributeError):
         return False
     mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
     mallopt.restype = ctypes.c_int
-    return all([mallopt(param, value) == 1 for param, value in _HEAP_SETTINGS])
+    return all(mallopt(param, value) == 1 for param, value in _HEAP_SETTINGS)
 
 
 HEAP_KEPT_MAPPED = _keep_freed_heap_mapped()

@@ -156,10 +156,8 @@ def _encode_rows(fn, n: int) -> np.ndarray:
     """``fn(rows)`` over consecutive slices of at most ``ENCODE_CHUNK`` of
     ``n`` samples, rows concatenated. Only for forward-only encoder passes,
     whose rows do not depend on the batch they are computed in."""
-    if n <= ENCODE_CHUNK:
-        return fn(slice(None))
     return np.concatenate([fn(slice(i, i + ENCODE_CHUNK))
-                           for i in range(0, n, ENCODE_CHUNK)])
+                           for i in range(0, max(n, 1), ENCODE_CHUNK)])
 
 
 def _stacked_leaf(arrays: dict, cids) -> ad.Tensor:
