@@ -187,12 +187,13 @@ class RunReport:
     paths: list = field(default_factory=list)
 
 
-def _predict_tasks(state, tasks):
+def _predict_tasks(state, tasks, queries):
     """Accuracy and the selected key class per query on each task's test
-    set, from one ``predict_batch`` call per task."""
+    set, from one ``predict_batch`` call per task on ``queries``, each test
+    set as an array or a ``trainer.QuerySet``."""
     accs, chosen = [], []
-    for task in tasks:
-        preds, _, sel = tr.predict_batch(state, task.test_x)
+    for task, x in zip(tasks, queries):
+        preds, _, sel = tr.predict_batch(state, x)
         accs.append(float(np.mean(np.asarray(preds) == task.test_y)))
         chosen.append(sel)
     return accs, chosen
@@ -209,9 +210,12 @@ def run_experiment(config: ExperimentConfig, write=True,
                              feature_space=stream.feature_space)
         matrix = mt.AccuracyMatrix(len(stream.tasks))
         curve = []
+        # each test set is encoded once and re-predicted after every later task
+        queries = [tr.QuerySet(task.test_x) for task in stream.tasks]
         for task in stream.tasks:
             tr.train_task(state, task, config.hp, stream.class_names)
-            accs, chosen = _predict_tasks(state, stream.tasks[:task.task_id + 1])
+            seen = task.task_id + 1
+            accs, chosen = _predict_tasks(state, stream.tasks[:seen], queries[:seen])
             for j, acc in enumerate(accs):
                 matrix.record(task.task_id, j, acc)
             # first-task precision: share of task-0 queries keyed to a task-0 class
@@ -389,7 +393,7 @@ def _cmd_diag(args) -> int:
     groups = [[c for c in state.books.class_ids if task_of[c] == t]
               for t in range(state.current_task + 1)]
     stream = sc.regroup(sc.generate_scenario(config.scenario), groups)
-    _, chosen = _predict_tasks(state, stream.tasks)
+    _, chosen = _predict_tasks(state, stream.tasks, [t.test_x for t in stream.tasks])
     C = mt.retrieval_confusion(task_of, chosen)
     out = args.out or "."
     os.makedirs(out, exist_ok=True)

@@ -144,7 +144,7 @@ def sample(mog: MoG, n: int, rng: Rng) -> np.ndarray:
         raise FitError("n must be >= 1")
     comps = rng.choice(mog.m, size=n, p=mog.weights / mog.weights.sum())
     eps = rng.normal((n, mog.dim), dtype=np.float64)
-    return (mog.means[comps] + np.sqrt(mog.covs[comps]) * eps).astype(np.float32)
+    return (mog.means[comps] + np.sqrt(mog.covs)[comps] * eps).astype(np.float32)
 
 
 # ---------------------------------------------------------------------------

@@ -89,7 +89,8 @@ class Selection:
     sims: np.ndarray       # over the key class ids, ascending order; (b, C)
 
     def __getitem__(self, rows) -> Selection:
-        """The selections of query rows ``rows`` (an index or a slice)."""
+        """The selections of query rows ``rows`` (an index, a slice or an
+        index array)."""
         return Selection(self.class_id[rows], self.sim[rows], self.sims[rows])
 
 

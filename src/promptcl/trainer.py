@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import os
+import typing
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -22,6 +23,7 @@ from . import optim
 from . import prompts as pr
 from .encoders import (EncoderConfig, FrozenStack, build_stack, class_name_embed,
                        embed_tokens, lift_features, vision_encode, vit_forward)
+from .featureio import FormatError
 from .rng import Rng
 from .scenario import Task, TaskStream
 
@@ -366,17 +368,74 @@ def train_task(state: TrainerState, task: Task, hp: Hyperparams,
 # inference
 
 
+class QuerySet:
+    """A fixed batch of queries and the frozen-encoder work done on it, kept
+    between predictions so a test set evaluated after every task is
+    vision-encoded once.
+
+    The set binds to the stack of the first state that predicts on it. Its
+    query vectors ``z`` never change after that; a row's conditioned CLS
+    features are reused while the row selects the same class with a
+    bitwise-equal similarity and that class's task is finished, whose prompts
+    no later training touches.
+    """
+
+    def __init__(self, x):
+        self.x = x
+        self.stack = None   # bound on first use
+        self.raw = None     # token grids
+        self.z = None       # (n, d) query vectors
+        self.feats = None   # (n, d') conditioned CLS features
+        self.cls = None     # per row: the class the features were conditioned on
+        self.sim = None     # per row: the similarity they were conditioned on
+
+    def bind(self, state: TrainerState) -> None:
+        """Encode the queries with ``state``'s stack on first use."""
+        if self.stack is state.stack:
+            return
+        if self.stack is not None:
+            raise TrainerError("query set was encoded by another state's stack")
+        raw = _raw_inputs(state, self.x)
+        if raw.ndim != 3:
+            raise TrainerError(
+                f"predict_batch takes a batch of inputs, got shape {np.shape(self.x)}")
+        self.z = _encode_rows(lambda s: vision_encode(state.stack, raw[s]), len(raw))
+        self.raw, self.stack = raw, state.stack
+
+    def features(self, state: TrainerState, sel: pr.Selection) -> np.ndarray:
+        """The CLS features conditioned on ``sel``, recomputing in chunks only
+        the rows whose conditioning may differ from the kept one."""
+        n = len(self.raw)
+        if self.cls is None:
+            self.feats = np.empty((n, state.stack.config.d_prime), ad.default_dtype())
+            stale = np.arange(n)
+        else:
+            # a class of an unfinished task may still be trained
+            live = [c for c, t in state.books.task_of.items() if t > state.current_task]
+            stale = np.flatnonzero((sel.class_id != self.cls)
+                                   | (sel.sim.view(np.int32) != self.sim.view(np.int32))
+                                   | np.isin(sel.class_id, live))
+        if len(stale):
+            tokens, sub = embed_tokens(state.stack, self.raw[stale]), sel[stale]
+            self.feats[stale] = _encode_rows(
+                lambda s: _conditioned_cls(state, tokens[s], sub[s]).data, len(stale))
+        self.cls, self.sim = sel.class_id, sel.sim
+        return self.feats
+
+
 def predict_batch(state: TrainerState, x):
     """Task-agnostic prediction for a batch of queries: (class ids, logits
-    over all seen classes, selected key class per query)."""
+    over all seen classes, selected key class per query).
+
+    ``x`` is an array of queries or a ``QuerySet``, which keeps the encoder
+    work between calls; an array is predicted as a fresh set.
+    """
     if state.current_task < 0:
         raise TrainerError("predict before any task was trained")
-    raw = _raw_inputs(state, x)
-    if raw.ndim != 3:
-        raise TrainerError(f"predict_batch takes a batch of inputs, got shape {np.shape(x)}")
+    qs = x if isinstance(x, QuerySet) else QuerySet(x)
+    qs.bind(state)
     # the encoders run in chunks; selection and the heads see the whole batch
-    z = _encode_rows(lambda s: vision_encode(state.stack, raw[s]), len(raw))
-    sel = _select_batch(state, z)
+    sel = _select_batch(state, qs.z)
     chosen = sel.class_id.tolist()
     if state.variant == "first_level_only":
         # classify straight from the key posteriors
@@ -384,9 +443,7 @@ def predict_batch(state: TrainerState, x):
         logits = sel.sims / state.stack.config.tau
         preds = [ids[int(i)] for i in np.argmax(logits, axis=1)]
         return preds, logits, chosen
-    tokens = embed_tokens(state.stack, raw)
-    feats = _encode_rows(
-        lambda s: _conditioned_cls(state, tokens[s], sel[s]).data, len(raw))
+    feats = qs.features(state, sel)
     cols = []
     for t in state.heads.task_ids():
         w, b = state.heads.heads[t]
@@ -427,10 +484,58 @@ def save_checkpoint(state: TrainerState, out_dir) -> None:
         f.write("\n")
 
 
+# trainer.json: the types each key may hold
+_META_TYPES = {"seed": (int,), "variant": (str, type(None)), "current_task": (int,),
+               "feature_space": (bool,), "class_names": (dict,), "encoder": (dict,)}
+
+
+def _read_meta(path) -> dict:
+    """``trainer.json`` with every key ``load_checkpoint`` uses checked;
+    invalid JSON or a missing or ill-typed key raises FormatError naming the
+    file and the key. Returns the class names keyed by int class id and the
+    encoder entry as an EncoderConfig."""
+    try:
+        with open(path, "rb") as f:
+            meta = json.load(f)
+    except ValueError as exc:
+        raise FormatError(f"{path}: invalid JSON: {exc}") from None
+    if type(meta) is not dict:
+        raise FormatError(f"{path}: expected a JSON object, got {type(meta).__name__}")
+    for key, types in _META_TYPES.items():
+        if key not in meta:
+            raise FormatError(f"{path}: missing key '{key}'")
+        if type(meta[key]) not in types:
+            raise FormatError(f"{path}: key '{key}' holds {type(meta[key]).__name__} "
+                              f"{meta[key]!r}")
+    if meta["variant"] is not None and meta["variant"] not in VARIANTS:
+        raise FormatError(f"{path}: key 'variant' names no variant: {meta['variant']!r}")
+    try:
+        names = {int(k): v for k, v in meta["class_names"].items()}
+    except ValueError:
+        names = None
+    if names is None or not all(type(v) is str and v for v in names.values()):
+        raise FormatError(f"{path}: key 'class_names' must map class ids to nonempty names")
+    meta["class_names"] = names
+    enc = meta["encoder"]
+    hints = typing.get_type_hints(EncoderConfig)
+    if set(enc) != set(hints):
+        odd = sorted(set(enc) ^ set(hints))
+        raise FormatError(f"{path}: key 'encoder' lacks or has unknown fields {odd}")
+    for name, value in enc.items():
+        allowed = (int, float) if hints[name] is float else (hints[name],)
+        if type(value) not in allowed:
+            raise FormatError(f"{path}: key 'encoder' field '{name}' holds "
+                              f"{type(value).__name__} {value!r}")
+    try:
+        meta["encoder"] = EncoderConfig(**enc)
+    except PromptclError as exc:
+        raise FormatError(f"{path}: key 'encoder': {exc}") from None
+    return meta
+
+
 def load_checkpoint(out_dir) -> TrainerState:
-    with open(os.path.join(out_dir, "trainer.json")) as f:
-        meta = json.load(f)
-    config = EncoderConfig(**meta["encoder"])
+    meta = _read_meta(os.path.join(out_dir, "trainer.json"))
+    config = meta["encoder"]
     state = new_state(config, meta["seed"], meta["variant"],
                       feature_space=meta["feature_space"])
     state.books = pr.load_codebooks(os.path.join(out_dir, "codebooks.bin"))
@@ -440,7 +545,7 @@ def load_checkpoint(out_dir) -> TrainerState:
         if os.path.exists(path):
             setattr(state, attr, gmm.load_bank(path))
     state.current_task = meta["current_task"]
-    state.class_names = {int(k): v for k, v in meta["class_names"].items()}
+    state.class_names = meta["class_names"]
     for cid, name in state.class_names.items():
         state.class_embeds[cid] = class_name_embed(name, config)
     return state

@@ -1,5 +1,6 @@
 """The checkpoint readers on incomplete, inconsistent and corrupted files:
 each returns or raises FormatError, never another exception."""
+import json
 import math
 
 import numpy as np
@@ -10,6 +11,8 @@ from hypothesis import strategies as st
 from promptcl import gmm
 from promptcl import losses as ls
 from promptcl import prompts as pr
+from promptcl import trainer as tr
+from promptcl.encoders import EncoderConfig
 from promptcl.featureio import (FormatError, load_feature_file, read_archive,
                                 write_archive, write_feature_file)
 from promptcl.rng import Rng
@@ -144,3 +147,54 @@ def test_mutated_bytes_load_or_raise_format_error(tmp_path_factory, kind, mutati
                 del raw[pos]
     path.write_bytes(bytes(raw))
     _load_or_format_error(read, path)
+
+
+def _trainer_checkpoint(path):
+    """Save a checkpoint of one hand-built task on a tiny stack."""
+    state = tr.new_state(EncoderConfig(d=4, d_prime=4, L=1, heads=2, seq_len=3,
+                                       patch_dim=2), seed=0)
+    pr.extend_codebooks(state.books, [4, 7], Rng(0), 0)
+    state.heads.add_task(0, [4, 7])
+    state.class_names = {4: "cat", 7: "dog"}
+    state.current_task = 0
+    tr.save_checkpoint(state, path)
+
+
+TRAINER_JSON = [  # (edit of trainer.json's object, key the error names)
+    *[(lambda m, k=k: m.pop(k), k) for k in ("seed", "variant", "current_task",
+                                              "feature_space", "class_names", "encoder")],
+    (lambda m: m.update(seed="0"), "seed"),
+    (lambda m: m.update(variant=3), "variant"),
+    (lambda m: m.update(variant="turbo"), "variant"),
+    (lambda m: m.update(current_task=0.5), "current_task"),
+    (lambda m: m.update(feature_space=0), "feature_space"),
+    (lambda m: m.update(class_names=["cat"]), "class_names"),
+    (lambda m: m.update(class_names={"four": "cat"}), "class_names"),
+    (lambda m: m.update(class_names={"4": ""}), "class_names"),
+    (lambda m: m.update(encoder=[4]), "encoder"),
+    (lambda m: m["encoder"].update(width=8), "encoder"),
+    (lambda m: m["encoder"].pop("d"), "encoder"),
+    (lambda m: m["encoder"].update(d="4"), "encoder"),
+    (lambda m: m["encoder"].update(heads=3), "encoder"),
+]
+
+
+@pytest.mark.parametrize("edit, key", TRAINER_JSON,
+                         ids=[f"{i}-{key}" for i, (_, key) in enumerate(TRAINER_JSON)])
+def test_trainer_json_names_file_and_key(tmp_path, edit, key):
+    _trainer_checkpoint(tmp_path)
+    tr.load_checkpoint(tmp_path)
+    meta_path = tmp_path / "trainer.json"
+    meta = json.loads(meta_path.read_text())
+    edit(meta)
+    meta_path.write_text(json.dumps(meta))
+    with pytest.raises(FormatError, match=rf"trainer\.json: .*'{key}'"):
+        tr.load_checkpoint(tmp_path)
+
+
+@pytest.mark.parametrize("text", [b'{"seed": 0,', b"\xff\xfe{}", b"", b"[1, 2]"])
+def test_corrupt_trainer_json_raises_format_error(tmp_path, text):
+    _trainer_checkpoint(tmp_path)
+    (tmp_path / "trainer.json").write_bytes(text)
+    with pytest.raises(FormatError, match=r"trainer\.json: "):
+        tr.load_checkpoint(tmp_path)

@@ -247,11 +247,24 @@ def test_diag_bad_inputs_print_error(tmp_path, capsys):
     assert cli.main(["diag", str(ckpt), cfg, "--out", str(tmp_path / "d")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "codebooks.bin" in err
+    # trainer.json without its encoder entry, then not JSON at all
+    meta_path = ckpt / "trainer.json"
+    meta = json.loads(meta_path.read_text())
+    del meta["encoder"]
+    meta_path.write_text(json.dumps(meta))
+    assert cli.main(["diag", str(ckpt), cfg, "--out", str(tmp_path / "d")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "trainer.json" in err and "'encoder'" in err
+    meta_path.write_text("{")
+    assert cli.main(["diag", str(ckpt), cfg, "--out", str(tmp_path / "d")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "trainer.json: invalid JSON" in err
 
 
-def test_run_encodes_each_test_set_once_per_evaluation(monkeypatch):
-    # T trainings plus T(T+1)/2 evaluations: accuracy, first-task precision
-    # and the retrieval confusion all come from the same prediction pass
+def test_run_encodes_each_test_set_once_per_seed(monkeypatch):
+    # T trainings plus one pass per test set: every later evaluation reuses
+    # the set's query vectors, and accuracy, first-task precision and the
+    # retrieval confusion all come from the same predictions
     encoded = []
     real = tr.vision_encode
     monkeypatch.setattr(tr, "vision_encode",
@@ -262,6 +275,6 @@ def test_run_encodes_each_test_set_once_per_evaluation(monkeypatch):
         "seq_len": 5, "patch_dim": 8, "E1": 1, "E2": 1, "n_replay": 4,
         "seeds": [3]})
     report = cli.run_experiment(config, write=False)
-    assert encoded == [8, 4, 8, 4, 4]
+    assert encoded == [8, 4, 8, 4]
     assert len(report.precision_curves[3]) == 2
     assert report.confusions[3].shape == (2, 2)

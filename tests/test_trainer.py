@@ -198,6 +198,98 @@ def test_large_predict_batch_page_fault_budget():
     assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 2000
 
 
+def _same_prediction(a, b):
+    return a[0] == b[0] and a[1].tobytes() == b[1].tobytes() and a[2] == b[2]
+
+
+@pytest.mark.parametrize("variant", (None,) + tr.VARIANTS)
+def test_query_set_predicts_the_bytes_of_a_fresh_batch(monkeypatch, variant):
+    # each test set kept as one QuerySet across tasks, as run_experiment does;
+    # new tasks' keys pull some bimodal queries to another class
+    stream = small_stream(kind="bimodal-clusters")
+    state = tr.new_state(CFG, seed=1993, variant=variant)
+    sets = [tr.QuerySet(t.test_x) for t in stream.tasks]
+    recomputed = []
+    real = tr._conditioned_cls
+    monkeypatch.setattr(tr, "_conditioned_cls", lambda state, tokens, sel, *a:
+                        recomputed.append(len(tokens)) or real(state, tokens, sel, *a))
+    reevals = []
+    for task in stream.tasks:
+        tr.train_task(state, task, replace(HP, E1=4, E2=1), stream.class_names)
+        for j, qs in enumerate(sets[:task.task_id + 1]):
+            recomputed.clear()
+            kept = tr.predict_batch(state, qs)
+            if j < task.task_id:
+                reevals.append(sum(recomputed))
+            assert _same_prediction(kept, tr.predict_batch(state, qs.x))
+    n = len(stream.tasks[0].test_y)
+    if variant == "first_level_only":
+        assert reevals == [0, 0, 0]
+    else:
+        assert any(r > 0 for r in reevals) and any(r < n for r in reevals), reevals
+
+
+def _predicted_set():
+    """A state trained on one task, a QuerySet of its test set and the set's
+    first prediction."""
+    stream = small_stream(num_tasks=1)
+    state = run_stream(stream, hp=replace(HP, E1=2, E2=1))
+    qs = tr.QuerySet(stream.tasks[0].test_x)
+    return state, qs, tr.predict_batch(state, qs)
+
+
+def test_query_set_recomputes_rows_of_unfinished_tasks():
+    state, qs, _ = _predicted_set()
+    # a class of the next task, still in training, keyed to query 0
+    pr.extend_codebooks(state.books, [99], Rng(4), state.current_task + 1)
+    state.books.keys[99] = qs.z[0]
+    first = tr.predict_batch(state, qs)
+    assert first[2][0] == 99
+    state.books.Q[99] = state.books.Q[99] + 0.5
+    again = tr.predict_batch(state, qs)
+    assert _same_prediction(again, tr.predict_batch(state, qs.x))
+    moved = np.asarray(first[2]) == 99
+    assert again[1][moved].tobytes() != first[1][moved].tobytes()
+    assert again[1][~moved].tobytes() == first[1][~moved].tobytes()
+
+
+def test_query_set_recomputes_rows_whose_similarity_moved():
+    # keys are recomputed after every task; a key that moves while its class
+    # stays selected changes the residual's confidence weight
+    state, qs, first = _predicted_set()
+    c = first[2][0]
+    state.books.keys[c] = state.books.keys[c] * np.float32(0.75)
+    again = tr.predict_batch(state, qs)
+    assert again[2] == first[2]
+    assert _same_prediction(again, tr.predict_batch(state, qs.x))
+    moved = np.asarray(first[2]) == c
+    assert again[1][moved].tobytes() != first[1][moved].tobytes()
+
+
+def test_query_set_recomputes_rows_that_select_another_class():
+    # a finished class with the key and query weights of a selected one ties
+    # its similarity bit for bit; the lower id wins and brings its own prompt
+    state, qs, first = _predicted_set()
+    c = first[2][0]
+    books = state.books
+    pr.extend_codebooks(books, [-1], Rng(4), state.current_task)
+    books.keys[-1], books.A[-1], books.Q[-1] = books.keys[c], books.A[c], books.Q[c] + 0.5
+    again = tr.predict_batch(state, qs)
+    moved = np.asarray(first[2]) == c
+    assert (np.asarray(again[2])[moved] == -1).all()
+    assert _same_prediction(again, tr.predict_batch(state, qs.x))
+    assert again[1][moved].tobytes() != first[1][moved].tobytes()
+
+
+def test_query_set_is_bound_to_one_stack():
+    from promptcl.encoders import build_stack
+    state, qs, _ = _predicted_set()
+    tr.predict_batch(state, qs)
+    twin = replace(state, stack=build_stack(CFG, state.seed))
+    with pytest.raises(tr.TrainerError, match="another state"):
+        tr.predict_batch(twin, qs)
+
+
 def test_unimodal_forces_single_component():
     stream = small_stream(num_tasks=2)
     state = run_stream(stream, variant="unimodal")
