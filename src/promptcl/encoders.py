@@ -38,8 +38,8 @@ class EncoderConfig:
             raise ConfigError("all structural dims must be >= 1")
         if self.d_prime % self.heads:
             raise ConfigError(f"d_prime={self.d_prime} not divisible by heads={self.heads}")
-        if self.tau <= 0:
-            raise ConfigError("tau must be positive")
+        if not 0 < self.tau < np.inf:
+            raise ConfigError(f"'tau' must be positive and finite, got {self.tau!r}")
         if self.seq_len < 2:
             raise ConfigError("seq_len must include CLS plus at least one patch")
 
@@ -52,7 +52,6 @@ class EncoderConfig:
         for h in (self.heads, 4, 2, 1):
             if self.d % h == 0:
                 return h
-        return 1
 
 
 def class_name_embed(name: str, config: EncoderConfig) -> np.ndarray:

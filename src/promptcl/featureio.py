@@ -41,7 +41,7 @@ def write_feature_file(path, features, labels) -> None:
         f.write(labels.tobytes())
 
 
-def load_feature_file(path, num_classes=None):
+def load_feature_file(path):
     """Read a feature file back as (count x dim float32 array, label list)."""
     with open(path, "rb") as f:
         raw = f.read()
@@ -59,8 +59,6 @@ def load_feature_file(path, num_classes=None):
         raise FormatError(f"{path}: payload length {len(raw)} != expected {need}")
     features = np.frombuffer(raw, dtype="<f4", count=count * dim, offset=20).reshape(count, dim)
     labels = np.frombuffer(raw, dtype="<u4", count=count, offset=20 + 4 * count * dim)
-    if num_classes is not None and labels.size and int(labels.max()) >= num_classes:
-        raise FormatError(f"{path}: label {int(labels.max())} out of range for {num_classes} classes")
     return features.copy(), [int(x) for x in labels]
 
 

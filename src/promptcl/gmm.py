@@ -162,18 +162,19 @@ def save_bank(path, bank: dict) -> None:
     write_archive(path, MOG_MAGIC, arrays)
 
 
-def load_bank(path) -> dict:
-    """Read a bank written by ``save_bank``; other entries are ignored, and a
-    missing or misshapen one raises FormatError."""
+def load_bank(path, dim: int) -> dict:
+    """Read a bank written by ``save_bank`` whose mixtures live in ``dim``
+    dimensions; other entries are ignored, and a missing or misshapen one
+    raises FormatError."""
     arrays = read_archive(path, MOG_MAGIC)
     bank = {}
     for cid in archive_entry(arrays, path, "class_ids", "i", (None,)).tolist():
         w, mu, cov = (archive_entry(arrays, path, f"{part}{cid}", "f")
                       for part in ("w", "mu", "cov"))
-        if w.ndim != 1 or mu.ndim != 2 or mu.shape[0] != w.shape[0] or cov.shape != mu.shape:
+        if w.ndim != 1 or mu.shape != (len(w), dim) or cov.shape != mu.shape:
             raise FormatError(
                 f"{path}: class {cid} mixture shapes weights {w.shape}, means "
-                f"{mu.shape}, covs {cov.shape}; expected (M,), (M, D), (M, D)")
+                f"{mu.shape}, covs {cov.shape}; expected (M,), (M, {dim}), (M, {dim})")
         bank[cid] = MoG(weights=w.astype(np.float64), means=mu.astype(np.float64),
                         covs=cov.astype(np.float64))
     return bank

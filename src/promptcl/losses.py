@@ -146,8 +146,8 @@ def gr_loss_second(head_params, class_counts, bank: dict, class_ids, n: int,
 
 
 def save_heads(path, heads: ClassifierHeads) -> None:
-    arrays = {"d_prime": np.array([heads.d_prime], np.int64),
-              "tasks": np.array(heads.task_ids(), np.int64)}
+    """Write each task's head and class list; ``d'`` lives in trainer.json."""
+    arrays = {"tasks": np.array(heads.task_ids(), np.int64)}
     for t in heads.task_ids():
         w, b = heads.heads[t]
         arrays[f"w{t}"] = w
@@ -156,15 +156,16 @@ def save_heads(path, heads: ClassifierHeads) -> None:
     write_archive(path, HEADS_MAGIC, arrays)
 
 
-def load_heads(path) -> ClassifierHeads:
-    """Read heads written by ``save_heads``; a missing or misshapen entry
-    raises FormatError."""
+def load_heads(path, heads: ClassifierHeads) -> ClassifierHeads:
+    """Fill the empty ``heads`` from an archive written by ``save_heads``,
+    checking every head against ``heads.d_prime``. Other entries (the
+    ``d_prime`` of older archives) are ignored; a missing or misshapen one
+    raises FormatError naming the file and the entry."""
     arrays = read_archive(path, HEADS_MAGIC)
-    (d_prime,) = archive_entry(arrays, path, "d_prime", "i", (1,)).tolist()
-    heads = ClassifierHeads(d_prime=d_prime)
     for t in archive_entry(arrays, path, "tasks", "i", (None,)).tolist():
         classes = archive_entry(arrays, path, f"classes{t}", "i", (None,)).tolist()
-        heads.heads[t] = (archive_entry(arrays, path, f"w{t}", "f", (d_prime, len(classes))),
+        heads.heads[t] = (archive_entry(arrays, path, f"w{t}", "f",
+                                        (heads.d_prime, len(classes))),
                           archive_entry(arrays, path, f"b{t}", "f", (len(classes),)))
         heads.classes[t] = classes
     return heads

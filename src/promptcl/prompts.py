@@ -142,10 +142,10 @@ def build_residual(Q, sim) -> ad.Tensor:
 
 
 def save_codebooks(path, books: Codebooks) -> None:
+    """Write the per-class records; the geometry (``d``, ``L``, ``d'``, prefix
+    tokens) is not repeated here, it lives in the checkpoint's trainer.json."""
     cids = books.class_ids
     arrays = {
-        "meta": np.array([books.d, books.L, books.d_prime, books.prefix_tokens],
-                         dtype=np.int64),
         "class_ids": np.array(cids, dtype=np.int64),
         "task_of": np.array([books.task_of[c] for c in cids], dtype=np.int64),
     }
@@ -158,19 +158,19 @@ def save_codebooks(path, books: Codebooks) -> None:
     write_archive(path, CODEBOOK_MAGIC, arrays)
 
 
-def load_codebooks(path) -> Codebooks:
-    """Read codebooks written by ``save_codebooks``; other entries are ignored,
-    and a missing or misshapen one raises FormatError."""
+def load_codebooks(path, books: Codebooks) -> Codebooks:
+    """Fill the empty ``books`` from an archive written by ``save_codebooks``,
+    checking every entry against ``books``' geometry. Other entries (the
+    ``meta`` and ``trainable`` of older archives) are ignored; a missing or
+    misshapen one raises FormatError naming the file and the entry."""
     arrays = read_archive(path, CODEBOOK_MAGIC)
-    d, L, d_prime, prefix_tokens = archive_entry(arrays, path, "meta", "i", (4,)).tolist()
-    books = Codebooks(d=d, L=L, d_prime=d_prime, prefix_tokens=prefix_tokens)
     cids = archive_entry(arrays, path, "class_ids", "i", (None,)).tolist()
     tasks = archive_entry(arrays, path, "task_of", "i", (len(cids),)).tolist()
     for cid, task in zip(cids, tasks):
-        books.p[cid] = archive_entry(arrays, path, f"p{cid}", "f", (d,))
+        books.p[cid] = archive_entry(arrays, path, f"p{cid}", "f", (books.d,))
         books.Q[cid] = archive_entry(arrays, path, f"Q{cid}", "f", books.q_shape())
-        books.A[cid] = archive_entry(arrays, path, f"A{cid}", "f", (d,))
+        books.A[cid] = archive_entry(arrays, path, f"A{cid}", "f", (books.d,))
         books.task_of[cid] = task
         if f"w{cid}" in arrays:
-            books.keys[cid] = archive_entry(arrays, path, f"w{cid}", "f", (d,))
+            books.keys[cid] = archive_entry(arrays, path, f"w{cid}", "f", (books.d,))
     return books

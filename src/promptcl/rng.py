@@ -36,8 +36,8 @@ class Rng:
     def permutation(self, n):
         return self._gen.permutation(n)
 
-    def choice(self, n, size, p=None, replace=True):
-        return self._gen.choice(n, size=size, p=p, replace=replace)
+    def choice(self, n, size, p=None):
+        return self._gen.choice(n, size=size, p=p)
 
 
 def stable_name_seed(name: str) -> int:

@@ -105,20 +105,20 @@ class TrainerState:
     seed: int = 0
     variant: str | None = None
     feature_space: bool = False
-    rng: Rng | None = None
+
+
+def _empty_books(config: EncoderConfig, variant) -> pr.Codebooks:
+    return pr.Codebooks(d=config.d, L=config.L, d_prime=config.d_prime,
+                        prefix_tokens=PREFIX_TOKENS if variant == "prefix_tuning" else 0)
 
 
 def new_state(config: EncoderConfig, seed: int, variant=None,
               feature_space: bool = False) -> TrainerState:
     variant = check_variant(variant)
-    stack = build_stack(config, seed)
-    prefix = PREFIX_TOKENS if variant == "prefix_tuning" else 0
-    books = pr.Codebooks(d=config.d, L=config.L, d_prime=config.d_prime,
-                         prefix_tokens=prefix)
-    return TrainerState(stack=stack, books=books,
+    return TrainerState(stack=build_stack(config, seed),
+                        books=_empty_books(config, variant),
                         heads=ls.ClassifierHeads(d_prime=config.d_prime),
-                        seed=seed, variant=variant, feature_space=feature_space,
-                        rng=Rng(seed).child("trainer"))
+                        seed=seed, variant=variant, feature_space=feature_space)
 
 
 def _raw_inputs(state: TrainerState, x) -> np.ndarray:
@@ -128,8 +128,8 @@ def _raw_inputs(state: TrainerState, x) -> np.ndarray:
     return np.asarray(x, np.float32)
 
 
-def _register_names(state: TrainerState, task: Task, names: dict | None):
-    for cid in task.class_ids:
+def _register_names(state: TrainerState, class_ids, names: dict | None):
+    for cid in class_ids:
         name = (names or {}).get(cid, f"class_{cid:03d}")
         state.class_names[cid] = name
         state.class_embeds[cid] = class_name_embed(name, state.stack.config)
@@ -325,8 +325,8 @@ def train_task(state: TrainerState, task: Task, hp: Hyperparams,
     if len(task.train_y) == 0:
         raise TrainerError(f"task {task.task_id} has no training samples")
     hp = replace(hp, M=1) if state.variant == "unimodal" else hp
-    rng = state.rng.child(("task", task.task_id))
-    _register_names(state, task, class_names)
+    rng = Rng(state.seed).child("trainer").child(("task", task.task_id))
+    _register_names(state, task.class_ids, class_names)
     pr.extend_codebooks(state.books, task.class_ids, rng.child("init"), task.task_id)
 
     raw = _raw_inputs(state, task.train_x)
@@ -334,21 +334,18 @@ def train_task(state: TrainerState, task: Task, hp: Hyperparams,
     tokens = embed_tokens(state.stack, raw)
 
     if state.variant == "no_first_level":
-        # static hand-crafted key surrogate: fixed context token per class name
-        cids = list(task.class_ids)
-        ctx = np.tile(_handcrafted_context(state.stack.config.d), (len(cids), 1))
-        keys = pr.key_tensor(state.books, state.stack, state.class_embeds, cids,
-                             ad.constant(ctx)).data
-        for i, cid in enumerate(cids):
-            state.books.keys[cid] = keys[i].copy()
+        # first-level prompts fixed at a hand-crafted context, never trained
+        ctx = _handcrafted_context(state.stack.config.d)
+        for cid in task.class_ids:
+            state.books.p[cid] = ctx.copy()
     else:
         _stage1(state, task, hp, z_train, rng.child("stage1"))
         if state.variant != "no_replay":
             _fit_bank(state.bank1, z_train, task.train_y, task.class_ids,
                       hp.M, rng, "mog1")
             _stage1_replay(state, task, hp, rng.child("replay1"))
-        # cache keys of the (now final) current prompts
-        state.books.keys = pr.compute_keys(state.books, state.stack, state.class_embeds)
+    # cache keys of the (now final) current prompts
+    state.books.keys = pr.compute_keys(state.books, state.stack, state.class_embeds)
 
     if state.variant != "first_level_only":
         _stage2(state, task, hp, tokens, z_train, rng.child("stage2"))
@@ -534,18 +531,19 @@ def _read_meta(path) -> dict:
 
 
 def load_checkpoint(out_dir) -> TrainerState:
+    """The state saved in ``out_dir``: every archive is checked against the
+    geometry and variant that trainer.json owns before the stack is built."""
     meta = _read_meta(os.path.join(out_dir, "trainer.json"))
-    config = meta["encoder"]
-    state = new_state(config, meta["seed"], meta["variant"],
-                      feature_space=meta["feature_space"])
-    state.books = pr.load_codebooks(os.path.join(out_dir, "codebooks.bin"))
-    state.heads = ls.load_heads(os.path.join(out_dir, "heads.bin"))
-    for name, attr in (("bank1.bin", "bank1"), ("bank2.bin", "bank2")):
-        path = os.path.join(out_dir, name)
-        if os.path.exists(path):
-            setattr(state, attr, gmm.load_bank(path))
-    state.current_task = meta["current_task"]
-    state.class_names = meta["class_names"]
-    for cid, name in state.class_names.items():
-        state.class_embeds[cid] = class_name_embed(name, config)
+    config, path = meta["encoder"], lambda name: os.path.join(out_dir, name)
+    parts = {"books": pr.load_codebooks(path("codebooks.bin"),
+                                        _empty_books(config, meta["variant"])),
+             "heads": ls.load_heads(path("heads.bin"), ls.ClassifierHeads(config.d_prime))}
+    # bank 1 models the E_vis query features, bank 2 the conditioned CLS features
+    for attr, dim in (("bank1", config.d), ("bank2", config.d_prime)):
+        if os.path.exists(path(f"{attr}.bin")):
+            parts[attr] = gmm.load_bank(path(f"{attr}.bin"), dim)
+    state = TrainerState(stack=build_stack(config, meta["seed"]), seed=meta["seed"],
+                         current_task=meta["current_task"], variant=meta["variant"],
+                         feature_space=meta["feature_space"], **parts)
+    _register_names(state, meta["class_names"], meta["class_names"])
     return state

@@ -38,14 +38,17 @@ def _bank():
                        covs=np.ones((2, 3))) for c in (2, 4)}
 
 
-# name -> (magic, writer of a valid file, reader)
+# name -> (magic, writer of a valid file, reader given the writer's geometry)
 ARCHIVES = {
-    "heads": (ls.HEADS_MAGIC, lambda p: ls.save_heads(p, _heads()), ls.load_heads),
+    "heads": (ls.HEADS_MAGIC, lambda p: ls.save_heads(p, _heads()),
+              lambda p: ls.load_heads(p, ls.ClassifierHeads(d_prime=3))),
     "codebooks": (pr.CODEBOOK_MAGIC, lambda p: pr.save_codebooks(p, _books(0)),
-                  pr.load_codebooks),
+                  lambda p: pr.load_codebooks(p, pr.Codebooks(d=4, L=2, d_prime=3))),
     "prefix_codebooks": (pr.CODEBOOK_MAGIC, lambda p: pr.save_codebooks(p, _books(2)),
-                         pr.load_codebooks),
-    "bank": (gmm.MOG_MAGIC, lambda p: gmm.save_bank(p, _bank()), gmm.load_bank),
+                         lambda p: pr.load_codebooks(
+                             p, pr.Codebooks(d=4, L=2, d_prime=3, prefix_tokens=2))),
+    "bank": (gmm.MOG_MAGIC, lambda p: gmm.save_bank(p, _bank()),
+             lambda p: gmm.load_bank(p, dim=3)),
 }
 READERS = {name: (write, read) for name, (_, write, read) in ARCHIVES.items()}
 READERS["features"] = (
@@ -62,12 +65,12 @@ def _load_or_format_error(read, path):
 
 
 INCOMPLETE = [  # (reader, edit of a valid archive, entry the error names)
-    ("heads", lambda a: a.pop("d_prime"), "d_prime"),
+    ("heads", lambda a: a.update(w0=a["w0"][1:]), "w0"),
     ("heads", lambda a: a.pop("w1"), "w1"),
     ("heads", lambda a: a.update(b0=a["b0"][:1]), "b0"),
     ("codebooks", lambda a: a.pop("p7"), "p7"),
     ("codebooks", lambda a: a.update(task_of=a["task_of"][:2]), "task_of"),
-    ("codebooks", lambda a: a.update(meta=a["meta"][:3]), "meta"),
+    ("codebooks", lambda a: a.update(A4=a["A4"][:3]), "A4"),
     ("codebooks", lambda a: a.update(class_ids=a["class_ids"].astype(np.float64)),
      "class_ids"),
     ("prefix_codebooks", lambda a: a.update(Q2=a["Q2"][:, :2]), "Q2"),
@@ -149,10 +152,10 @@ def test_mutated_bytes_load_or_raise_format_error(tmp_path_factory, kind, mutati
     _load_or_format_error(read, path)
 
 
-def _trainer_checkpoint(path):
+def _trainer_checkpoint(path, variant=None):
     """Save a checkpoint of one hand-built task on a tiny stack."""
     state = tr.new_state(EncoderConfig(d=4, d_prime=4, L=1, heads=2, seq_len=3,
-                                       patch_dim=2), seed=0)
+                                       patch_dim=2), seed=0, variant=variant)
     pr.extend_codebooks(state.books, [4, 7], Rng(0), 0)
     state.heads.add_task(0, [4, 7])
     state.class_names = {4: "cat", 7: "dog"}
@@ -176,6 +179,7 @@ TRAINER_JSON = [  # (edit of trainer.json's object, key the error names)
     (lambda m: m["encoder"].pop("d"), "encoder"),
     (lambda m: m["encoder"].update(d="4"), "encoder"),
     (lambda m: m["encoder"].update(heads=3), "encoder"),
+    (lambda m: m["encoder"].update(tau=math.inf), "tau"),
 ]
 
 
@@ -197,4 +201,32 @@ def test_corrupt_trainer_json_raises_format_error(tmp_path, text):
     _trainer_checkpoint(tmp_path)
     (tmp_path / "trainer.json").write_bytes(text)
     with pytest.raises(FormatError, match=r"trainer\.json: "):
+        tr.load_checkpoint(tmp_path)
+
+
+GEOMETRY = [  # (variant saved, edit of trainer.json's object, entry the error names)
+    (None, lambda m: m["encoder"].update(L=2), "Q4"),
+    (None, lambda m: m["encoder"].update(d=8), "p4"),
+    (None, lambda m: m["encoder"].update(d_prime=8), "Q4"),
+    (None, lambda m: m.update(variant="prefix_tuning"), "Q4"),
+    ("prefix_tuning", lambda m: m.update(variant=None), "Q4"),
+]
+
+
+@pytest.mark.parametrize("variant, edit, entry", GEOMETRY,
+                         ids=["None-L", "None-d", "None-d_prime", "None-variant",
+                              "prefix_tuning-variant"])
+def test_trainer_json_geometry_checked_before_the_stack(tmp_path, monkeypatch, variant,
+                                                        edit, entry):
+    _trainer_checkpoint(tmp_path, variant)
+    meta_path = tmp_path / "trainer.json"
+    meta = json.loads(meta_path.read_text())
+    edit(meta)
+    meta_path.write_text(json.dumps(meta))
+
+    def no_stack(*_):
+        raise AssertionError("build_stack ran before the archives were checked")
+
+    monkeypatch.setattr(tr, "build_stack", no_stack)
+    with pytest.raises(FormatError, match=rf"codebooks\.bin: entry '{entry}'"):
         tr.load_checkpoint(tmp_path)

@@ -87,6 +87,9 @@ def test_build_experiment_defaults_and_overrides():
     ("exp.cfg", "seeds = true"),
     ("exp.cfg", "seeds = 1,1"),
     ("exp.json", '{"variant": {"no_replay": true}}'),
+    ("exp.cfg", "tau = Infinity"),
+    ("exp.cfg", "tau = NaN"),
+    ("exp.json", '{"tau": -Infinity}'),
 ])
 def test_build_experiment_type_checks_name_the_key(tmp_path, name, text):
     path = tmp_path / name
@@ -237,11 +240,11 @@ def test_diag_bad_inputs_print_error(tmp_path, capsys):
     # a well-formed heads archive without one of its entries
     heads = ckpt / "heads.bin"
     arrays = featureio.read_archive(heads, ls.HEADS_MAGIC)
-    del arrays["d_prime"]
+    del arrays["w0"]
     featureio.write_archive(heads, ls.HEADS_MAGIC, arrays)
     assert cli.main(["diag", str(ckpt), cfg, "--out", str(tmp_path / "d")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "heads.bin" in err and "'d_prime'" in err
+    assert err.startswith("error: ") and "heads.bin" in err and "'w0'" in err
     books = ckpt / "codebooks.bin"
     books.write_bytes(books.read_bytes()[:-3])
     assert cli.main(["diag", str(ckpt), cfg, "--out", str(tmp_path / "d")]) == 1

@@ -40,13 +40,6 @@ def test_bad_magic_rejected(tmp_path):
         load_feature_file(path)
 
 
-def test_label_out_of_range(tmp_path):
-    path = tmp_path / "f.bin"
-    write_feature_file(path, np.ones((2, 2), np.float32), [0, 7])
-    with pytest.raises(FormatError, match="range"):
-        load_feature_file(path, num_classes=3)
-
-
 def test_archive_round_trip(tmp_path):
     path = tmp_path / "a.bin"
     arrays = {

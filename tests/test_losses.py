@@ -196,7 +196,7 @@ def test_heads_checkpoint_round_trip(tmp_path):
     heads.heads[1][0][:] = Rng(11).normal((4, 3))
     path = tmp_path / "heads.bin"
     ls.save_heads(path, heads)
-    back = ls.load_heads(path)
+    back = ls.load_heads(path, ls.ClassifierHeads(d_prime=4))
     assert back.task_ids() == [0, 1]
     assert back.all_classes() == [0, 1, 2, 3, 4]
     np.testing.assert_array_equal(back.heads[1][0], heads.heads[1][0])

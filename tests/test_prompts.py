@@ -227,7 +227,7 @@ def test_codebook_checkpoint_round_trip(tmp_path):
     books.keys = pr.compute_keys(books, stack, embeds)
     path = tmp_path / "books.bin"
     pr.save_codebooks(path, books)
-    back = pr.load_codebooks(path)
+    back = pr.load_codebooks(path, make_books())
     assert back.class_ids == books.class_ids
     assert back.task_of == books.task_of
     for c in books.class_ids:

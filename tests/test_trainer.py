@@ -1,12 +1,16 @@
 import hashlib
 import json
+import os
 import resource
+import shutil
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from promptcl import autodiff as ad
+from promptcl import featureio, gmm
+from promptcl import losses as ls
 from promptcl import prompts as pr
 from promptcl import scenario as sc
 from promptcl import trainer as tr
@@ -89,10 +93,10 @@ def test_freeze_invariance_across_tasks():
             hashes[done] = h
 
 
-def test_key_cache_coherence():
-    from promptcl import prompts as pr
+@pytest.mark.parametrize("variant", [None, "no_first_level"])
+def test_key_cache_coherence(variant):
     stream = small_stream()
-    state = run_stream(stream)
+    state = run_stream(stream, variant=variant)
     fresh = pr.compute_keys(state.books, state.stack, state.class_embeds)
     assert sorted(fresh) == sorted(state.books.keys)
     for cid, w in state.books.keys.items():
@@ -357,9 +361,78 @@ def test_determinism_same_seed():
         np.testing.assert_array_equal(a.books.p[cid], b.books.p[cid])
 
 
+def _add_older_geometry(ckpt, books, edit_books=None):
+    """Rewrite a checkpoint's archives as the older format wrote them: the
+    geometry first in both, as codebooks.bin's ``meta`` and heads.bin's
+    ``d_prime``; ``edit_books`` may change the codebook entries too."""
+    meta = np.array([books.d, books.L, books.d_prime, books.prefix_tokens], np.int64)
+    for name, magic, first in (("codebooks.bin", pr.CODEBOOK_MAGIC, {"meta": meta}),
+                               ("heads.bin", ls.HEADS_MAGIC,
+                                {"d_prime": np.array([books.d_prime], np.int64)})):
+        arrays = featureio.read_archive(ckpt / name, magic)
+        if edit_books and name == "codebooks.bin":
+            edit_books(arrays)
+        featureio.write_archive(ckpt / name, magic, {**first, **arrays})
+
+
+@pytest.fixture(scope="module")
+def trained_checkpoint(tmp_path_factory):
+    """variant -> (stream, directory) of a 2-task checkpoint, trained once."""
+    cache = {}
+
+    def get(variant):
+        if variant not in cache:
+            stream = small_stream(num_tasks=2)
+            path = tmp_path_factory.mktemp(f"ckpt-{variant}")
+            tr.save_checkpoint(run_stream(stream, variant=variant), path)
+            cache[variant] = stream, path
+        return cache[variant]
+    return get
+
+
+@pytest.mark.parametrize("variant", [None, "prefix_tuning", "no_first_level"])
+def test_older_format_checkpoint_predicts_the_same(tmp_path, trained_checkpoint,
+                                                    variant):
+    stream, path = trained_checkpoint(variant)
+    x = np.concatenate([task.test_x for task in stream.tasks])
+    fresh = tr.load_checkpoint(path)
+    want = tr.predict_batch(fresh, x)
+    shutil.copytree(path, tmp_path, dirs_exist_ok=True)
+
+    def untrained_prompts(arrays):
+        # the older no_first_level kept each class's random initial prompt
+        # and stored the hand-crafted keys, which no prompt reproduces
+        for c in fresh.books.class_ids:
+            arrays[f"p{c}"] = Rng(c).normal((CFG.d,), std=pr.PROMPT_INIT_STD)
+
+    _add_older_geometry(tmp_path, fresh.books,
+                         untrained_prompts if variant == "no_first_level" else None)
+    got = tr.predict_batch(tr.load_checkpoint(tmp_path), x)
+    assert got[0] == want[0] and got[2] == want[2]
+    assert got[1].tobytes() == want[1].tobytes()
+
+
+@pytest.mark.parametrize("variant", [None, "prefix_tuning", "no_first_level",
+                                     "first_level_only"])
+def test_load_checkpoint_reads_every_saved_entry(monkeypatch, trained_checkpoint, variant):
+    # an entry written but never read states a fact twice, or states one
+    # nothing checks
+    _, path = trained_checkpoint(variant)
+    read = set()
+    for module in (pr, ls, gmm):
+        def recording(arrays, file, name, *args, _entry=module.archive_entry):
+            read.add((os.path.basename(file), name))
+            return _entry(arrays, file, name, *args)
+        monkeypatch.setattr(module, "archive_entry", recording)
+    tr.load_checkpoint(path)
+    magics = {"codebooks.bin": pr.CODEBOOK_MAGIC, "heads.bin": ls.HEADS_MAGIC,
+              "bank1.bin": gmm.MOG_MAGIC, "bank2.bin": gmm.MOG_MAGIC}
+    written = {(name, entry) for name, magic in magics.items() if (path / name).exists()
+               for entry in featureio.read_archive(path / name, magic)}
+    assert written and written - read == set()
+
+
 def test_checkpoint_round_trip(tmp_path):
-    from promptcl import featureio
-    from promptcl import prompts as pr
     stream = small_stream(num_tasks=2)
     state = run_stream(stream)
     tr.save_checkpoint(state, tmp_path)
@@ -376,8 +449,9 @@ def test_checkpoint_round_trip(tmp_path):
         meta = json.load(f)
     assert meta["current_task"] == 1
 
-    # older checkpoints also stored each class's freeze flag and the task ->
-    # class lists; a reader ignores both
+    # older checkpoints also stored the geometry in both archives, each
+    # class's freeze flag and the task -> class lists; a reader ignores them
+    _add_older_geometry(tmp_path, back.books)
     books_path = tmp_path / "codebooks.bin"
     arrays = featureio.read_archive(books_path, pr.CODEBOOK_MAGIC)
     old = {k: arrays[k] for k in ("meta", "class_ids")}
