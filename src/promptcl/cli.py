@@ -117,9 +117,9 @@ def _seeds(key: ConfigKey, value) -> tuple:
         seeds = tuple(int(s) if isinstance(s, str) else s for s in items)
     except ValueError:
         seeds = None
-    if not seeds or any(type(s) is not int for s in seeds):
-        raise ConfigError(f"config key '{key.name}' must be an int or a nonempty "
-                          f"comma-separated int list, got {value!r}")
+    if not seeds or any(type(s) is not int or s < 0 for s in seeds):
+        raise ConfigError(f"config key '{key.name}' must be a non-negative int or a "
+                          f"nonempty comma-separated list of them, got {value!r}")
     if len(set(seeds)) != len(seeds):
         raise ConfigError(f"config key '{key.name}' repeats a seed: {value!r}")
     return seeds
@@ -389,12 +389,9 @@ def _cmd_diag(args) -> int:
     state = tr.load_checkpoint(args.checkpoint)
     config = build_experiment(parse_config(args.stream))
     # the checkpoint's class-to-task grouping, so query task i is trained task i
-    task_of = state.books.task_of
-    groups = [[c for c in state.books.class_ids if task_of[c] == t]
-              for t in range(state.current_task + 1)]
-    stream = sc.regroup(sc.generate_scenario(config.scenario), groups)
+    stream = sc.regroup(sc.generate_scenario(config.scenario), state.books.groups())
     _, chosen = _predict_tasks(state, stream.tasks, [t.test_x for t in stream.tasks])
-    C = mt.retrieval_confusion(task_of, chosen)
+    C = mt.retrieval_confusion(state.books.task_of, chosen)
     out = args.out or "."
     os.makedirs(out, exist_ok=True)
     path = os.path.join(out, "confusion.csv")

@@ -152,8 +152,8 @@ def sample(mog: MoG, n: int, rng: Rng) -> np.ndarray:
 
 
 def save_bank(path, bank: dict) -> None:
-    """Persist a class-id -> MoG mapping."""
-    arrays = {"class_ids": np.array(sorted(bank), dtype=np.int64)}
+    """Persist a class-id -> MoG mapping; codebooks.bin lists the classes."""
+    arrays = {}
     for cid in sorted(bank):
         mog = bank[cid]
         arrays[f"w{cid}"] = mog.weights
@@ -162,13 +162,13 @@ def save_bank(path, bank: dict) -> None:
     write_archive(path, MOG_MAGIC, arrays)
 
 
-def load_bank(path, dim: int) -> dict:
-    """Read a bank written by ``save_bank`` whose mixtures live in ``dim``
-    dimensions; other entries are ignored, and a missing or misshapen one
-    raises FormatError."""
+def load_bank(path, dim: int, class_ids) -> dict:
+    """The ``dim``-dimensional mixtures of exactly ``class_ids`` (the codebook's
+    classes) from a bank written by ``save_bank``. Other entries (older banks'
+    ``class_ids``) are ignored; a missing or misshapen one raises FormatError."""
     arrays = read_archive(path, MOG_MAGIC)
     bank = {}
-    for cid in archive_entry(arrays, path, "class_ids", "i", (None,)).tolist():
+    for cid in class_ids:
         w, mu, cov = (archive_entry(arrays, path, f"{part}{cid}", "f")
                       for part in ("w", "mu", "cov"))
         if w.ndim != 1 or mu.shape != (len(w), dim) or cov.shape != mu.shape:

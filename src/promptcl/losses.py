@@ -14,7 +14,7 @@ import numpy as np
 from . import PromptclError
 from . import autodiff as ad
 from . import gmm
-from .featureio import archive_entry, read_archive, write_archive
+from .featureio import FormatError, archive_entry, read_archive, write_archive
 from .rng import Rng
 
 HEADS_MAGIC = b"STARHEAD"
@@ -130,14 +130,13 @@ def gr_loss_first(key_rows: ad.Tensor, bank: dict, class_ids, n: int, tau: float
     return ce_stage1(key_rows, feats, labels, tau)
 
 
-def gr_loss_second(head_params, class_counts, bank: dict, class_ids, n: int,
-                   rng: Rng) -> ad.Tensor:
+def gr_loss_second(head_params, bank: dict, class_ids, n: int, rng: Rng) -> ad.Tensor:
     """Second-stage replay loss over the concatenation of every task head.
 
-    ``head_params``: ordered list of (W, b) tensors, one per seen task;
-    ``class_counts`` gives each head's width so label positions line up.
+    ``head_params``: ordered list of (W, b) tensors, one per seen task, whose
+    columns together line up with ``class_ids``.
     """
-    if sum(class_counts) != len(class_ids):
+    if sum(w.shape[-1] for w, _ in head_params) != len(class_ids):
         raise LossError("head widths do not cover the seen class set")
     feats, labels = sample_replay_features(bank, class_ids, n, rng)
     f = ad.constant(feats)
@@ -146,8 +145,8 @@ def gr_loss_second(head_params, class_counts, bank: dict, class_ids, n: int,
 
 
 def save_heads(path, heads: ClassifierHeads) -> None:
-    """Write each task's head and class list; ``d'`` lives in trainer.json."""
-    arrays = {"tasks": np.array(heads.task_ids(), np.int64)}
+    """Write each task's head and column order ``classes{t}``, the stream's."""
+    arrays = {}
     for t in heads.task_ids():
         w, b = heads.heads[t]
         arrays[f"w{t}"] = w
@@ -156,14 +155,17 @@ def save_heads(path, heads: ClassifierHeads) -> None:
     write_archive(path, HEADS_MAGIC, arrays)
 
 
-def load_heads(path, heads: ClassifierHeads) -> ClassifierHeads:
-    """Fill the empty ``heads`` from an archive written by ``save_heads``,
-    checking every head against ``heads.d_prime``. Other entries (the
-    ``d_prime`` of older archives) are ignored; a missing or misshapen one
-    raises FormatError naming the file and the entry."""
+def load_heads(path, heads: ClassifierHeads, groups) -> ClassifierHeads:
+    """Fill the empty ``heads`` with the head of each task t in the codebook's
+    ``groups`` (each ``classes{t}`` a permutation of ``groups[t]``, every head
+    ``heads.d_prime`` wide). Other entries (older archives' ``d_prime`` and
+    ``tasks``) are ignored; a missing or mismatched one raises FormatError."""
     arrays = read_archive(path, HEADS_MAGIC)
-    for t in archive_entry(arrays, path, "tasks", "i", (None,)).tolist():
+    for t, cids in enumerate(groups):
         classes = archive_entry(arrays, path, f"classes{t}", "i", (None,)).tolist()
+        if sorted(classes) != cids:
+            raise FormatError(f"{path}: entry 'classes{t}' holds {classes}, expected "
+                              f"the classes {cids} of task {t}")
         heads.heads[t] = (archive_entry(arrays, path, f"w{t}", "f",
                                         (heads.d_prime, len(classes))),
                           archive_entry(arrays, path, f"b{t}", "f", (len(classes),)))

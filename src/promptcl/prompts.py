@@ -15,7 +15,7 @@ import numpy as np
 from . import PromptclError
 from . import autodiff as ad
 from .encoders import FrozenStack, text_encode
-from .featureio import archive_entry, read_archive, write_archive
+from .featureio import FormatError, archive_entry, read_archive, write_archive
 from .rng import Rng
 
 CODEBOOK_MAGIC = b"STARCDBK"
@@ -42,6 +42,11 @@ class Codebooks:
     @property
     def class_ids(self) -> list:
         return sorted(self.task_of)
+
+    def groups(self) -> list:
+        """Each task's classes in ascending order, indexed by task."""
+        tasks = range(max(self.task_of.values(), default=-1) + 1)
+        return [[c for c in self.class_ids if self.task_of[c] == t] for t in tasks]
 
     def q_shape(self):
         if self.prefix_tokens:
@@ -160,12 +165,14 @@ def save_codebooks(path, books: Codebooks) -> None:
 
 def load_codebooks(path, books: Codebooks) -> Codebooks:
     """Fill the empty ``books`` from an archive written by ``save_codebooks``,
-    checking every entry against ``books``' geometry. Other entries (the
-    ``meta`` and ``trainable`` of older archives) are ignored; a missing or
-    misshapen one raises FormatError naming the file and the entry."""
+    checking every entry against ``books``' geometry; its owning tasks must
+    number 0..T-1. Other entries (older archives' ``meta`` and ``trainable``)
+    are ignored; a missing or misshapen one raises FormatError naming it."""
     arrays = read_archive(path, CODEBOOK_MAGIC)
     cids = archive_entry(arrays, path, "class_ids", "i", (None,)).tolist()
     tasks = archive_entry(arrays, path, "task_of", "i", (len(cids),)).tolist()
+    if sorted(set(tasks)) != list(range(len(set(tasks)))):
+        raise FormatError(f"{path}: entry 'task_of' must number the tasks 0..T-1")
     for cid, task in zip(cids, tasks):
         books.p[cid] = archive_entry(arrays, path, f"p{cid}", "f", (books.d,))
         books.Q[cid] = archive_entry(arrays, path, f"Q{cid}", "f", books.q_shape())

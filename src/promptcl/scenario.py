@@ -39,7 +39,7 @@ class ScenarioSpec:
             raise ScenarioError(f"unknown generator kind {self.kind!r}")
         if self.kind == "feature-file" and not self.feature_path:
             raise ScenarioError("feature-file kind needs feature_path")
-        for name in ("separation", "noise"):  # both scale draws; 0 is allowed
+        for name in ("separation", "noise", "seed"):  # 0 is allowed for each
             if getattr(self, name) < 0:
                 raise ScenarioError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.kind != "feature-file":  # a feature file splits by their ratio

@@ -296,7 +296,6 @@ def _stage2(state: TrainerState, task: Task, hp: Hyperparams, tokens, z_train, r
 def _stage2_replay(state: TrainerState, hp: Hyperparams, rng):
     adam = optim.AdamState(lr=hp.lr2)
     tasks = state.heads.task_ids()
-    class_counts = [len(state.heads.classes[t]) for t in tasks]
     all_cids = state.heads.all_classes()
     for ep in range(hp.E2):
         tensors = []
@@ -307,8 +306,8 @@ def _stage2_replay(state: TrainerState, hp: Hyperparams, rng):
             bt = ad.Tensor(b, requires_grad=True)
             tensors.append((wt, bt))
             params[f"w{t}"], params[f"b{t}"] = w, b
-        loss = ls.gr_loss_second(tensors, class_counts, state.bank2, all_cids,
-                                 hp.n_replay, rng.child(("gr2", ep)))
+        loss = ls.gr_loss_second(tensors, state.bank2, all_cids, hp.n_replay,
+                                 rng.child(("gr2", ep)))
         loss.backward()
         for t, (wt, bt) in zip(tasks, tensors):
             grads[f"w{t}"], grads[f"b{t}"] = wt.grad, bt.grad
@@ -471,7 +470,6 @@ def save_checkpoint(state: TrainerState, out_dir) -> None:
     meta = {
         "seed": state.seed,
         "variant": state.variant,
-        "current_task": state.current_task,
         "feature_space": state.feature_space,
         "class_names": {str(k): v for k, v in state.class_names.items()},
         "encoder": asdict(state.stack.config),
@@ -482,8 +480,8 @@ def save_checkpoint(state: TrainerState, out_dir) -> None:
 
 
 # trainer.json: the types each key may hold
-_META_TYPES = {"seed": (int,), "variant": (str, type(None)), "current_task": (int,),
-               "feature_space": (bool,), "class_names": (dict,), "encoder": (dict,)}
+_META_TYPES = {"seed": (int,), "variant": (str, type(None)), "feature_space": (bool,),
+               "class_names": (dict,), "encoder": (dict,)}
 
 
 def _read_meta(path) -> dict:
@@ -504,6 +502,8 @@ def _read_meta(path) -> dict:
         if type(meta[key]) not in types:
             raise FormatError(f"{path}: key '{key}' holds {type(meta[key]).__name__} "
                               f"{meta[key]!r}")
+    if meta["seed"] < 0:
+        raise FormatError(f"{path}: key 'seed' must be >= 0, got {meta['seed']}")
     if meta["variant"] is not None and meta["variant"] not in VARIANTS:
         raise FormatError(f"{path}: key 'variant' names no variant: {meta['variant']!r}")
     try:
@@ -531,19 +531,23 @@ def _read_meta(path) -> dict:
 
 
 def load_checkpoint(out_dir) -> TrainerState:
-    """The state saved in ``out_dir``: every archive is checked against the
-    geometry and variant that trainer.json owns before the stack is built."""
+    """The state saved in ``out_dir``. Before the stack is built, every archive is
+    checked against trainer.json's geometry and variant and codebooks.bin's classes."""
     meta = _read_meta(os.path.join(out_dir, "trainer.json"))
     config, path = meta["encoder"], lambda name: os.path.join(out_dir, name)
-    parts = {"books": pr.load_codebooks(path("codebooks.bin"),
-                                        _empty_books(config, meta["variant"])),
-             "heads": ls.load_heads(path("heads.bin"), ls.ClassifierHeads(config.d_prime))}
+    books = pr.load_codebooks(path("codebooks.bin"), _empty_books(config, meta["variant"]))
+    if sorted(meta["class_names"]) != books.class_ids:
+        raise FormatError(f"{path('trainer.json')}: key 'class_names' must name exactly "
+                          f"the classes {books.class_ids}")
+    parts = {"books": books,  # first_level_only trains no heads
+             "heads": ls.load_heads(path("heads.bin"), ls.ClassifierHeads(config.d_prime),
+                                    [] if meta["variant"] == "first_level_only" else books.groups())}
     # bank 1 models the E_vis query features, bank 2 the conditioned CLS features
     for attr, dim in (("bank1", config.d), ("bank2", config.d_prime)):
         if os.path.exists(path(f"{attr}.bin")):
-            parts[attr] = gmm.load_bank(path(f"{attr}.bin"), dim)
+            parts[attr] = gmm.load_bank(path(f"{attr}.bin"), dim, books.class_ids)
     state = TrainerState(stack=build_stack(config, meta["seed"]), seed=meta["seed"],
-                         current_task=meta["current_task"], variant=meta["variant"],
+                         current_task=len(books.groups()) - 1, variant=meta["variant"],
                          feature_space=meta["feature_space"], **parts)
     _register_names(state, meta["class_names"], meta["class_names"])
     return state

@@ -2,6 +2,7 @@
 each returns or raises FormatError, never another exception."""
 import json
 import math
+import shutil
 
 import numpy as np
 import pytest
@@ -38,17 +39,18 @@ def _bank():
                        covs=np.ones((2, 3))) for c in (2, 4)}
 
 
-# name -> (magic, writer of a valid file, reader given the writer's geometry)
+# name -> (magic, writer of a valid file, reader given the writer's geometry and
+# the classes of its codebook)
 ARCHIVES = {
     "heads": (ls.HEADS_MAGIC, lambda p: ls.save_heads(p, _heads()),
-              lambda p: ls.load_heads(p, ls.ClassifierHeads(d_prime=3))),
+              lambda p: ls.load_heads(p, ls.ClassifierHeads(d_prime=3), [[4, 7], [2]])),
     "codebooks": (pr.CODEBOOK_MAGIC, lambda p: pr.save_codebooks(p, _books(0)),
                   lambda p: pr.load_codebooks(p, pr.Codebooks(d=4, L=2, d_prime=3))),
     "prefix_codebooks": (pr.CODEBOOK_MAGIC, lambda p: pr.save_codebooks(p, _books(2)),
                          lambda p: pr.load_codebooks(
                              p, pr.Codebooks(d=4, L=2, d_prime=3, prefix_tokens=2))),
     "bank": (gmm.MOG_MAGIC, lambda p: gmm.save_bank(p, _bank()),
-             lambda p: gmm.load_bank(p, dim=3)),
+             lambda p: gmm.load_bank(p, dim=3, class_ids=[2, 4])),
 }
 READERS = {name: (write, read) for name, (_, write, read) in ARCHIVES.items()}
 READERS["features"] = (
@@ -68,6 +70,8 @@ INCOMPLETE = [  # (reader, edit of a valid archive, entry the error names)
     ("heads", lambda a: a.update(w0=a["w0"][1:]), "w0"),
     ("heads", lambda a: a.pop("w1"), "w1"),
     ("heads", lambda a: a.update(b0=a["b0"][:1]), "b0"),
+    ("heads", lambda a: a.update(classes0=np.array([4, 4])), "classes0"),
+    ("heads", lambda a: a.update(classes1=np.array([3])), "classes1"),
     ("codebooks", lambda a: a.pop("p7"), "p7"),
     ("codebooks", lambda a: a.update(task_of=a["task_of"][:2]), "task_of"),
     ("codebooks", lambda a: a.update(A4=a["A4"][:3]), "A4"),
@@ -75,6 +79,7 @@ INCOMPLETE = [  # (reader, edit of a valid archive, entry the error names)
      "class_ids"),
     ("prefix_codebooks", lambda a: a.update(Q2=a["Q2"][:, :2]), "Q2"),
     ("bank", lambda a: a.pop("mu4"), "mu4"),
+    ("bank", lambda a: [a.pop(f"{part}4") for part in ("w", "mu", "cov")], "w4"),
 ]
 
 
@@ -89,6 +94,19 @@ def test_incomplete_archive_names_file_and_entry(tmp_path, kind, edit, entry):
     edit(arrays)
     write_archive(path, magic, arrays)
     with pytest.raises(FormatError, match=rf"{kind}\.bin: .*'{entry}'"):
+        read(path)
+
+
+@pytest.mark.parametrize("tasks", [[0, 0, 2], [1, 1, 2], [-1, 0, 0]])
+def test_codebook_tasks_must_number_from_zero(tmp_path, tasks):
+    # classes 2, 4 and 7 owned by tasks that leave a gap or start elsewhere
+    magic, write, read = ARCHIVES["codebooks"]
+    path = tmp_path / "codebooks.bin"
+    write(path)
+    arrays = read_archive(path, magic)
+    arrays["task_of"] = np.array(tasks, np.int64)
+    write_archive(path, magic, arrays)
+    with pytest.raises(FormatError, match=r"codebooks\.bin: entry 'task_of'"):
         read(path)
 
 
@@ -164,12 +182,13 @@ def _trainer_checkpoint(path, variant=None):
 
 
 TRAINER_JSON = [  # (edit of trainer.json's object, key the error names)
-    *[(lambda m, k=k: m.pop(k), k) for k in ("seed", "variant", "current_task",
-                                              "feature_space", "class_names", "encoder")],
+    *[(lambda m, k=k: m.pop(k), k) for k in ("seed", "variant")],
+    (lambda m: m["class_names"].pop("7"), "class_names"),  # a codebook class unnamed
+    *[(lambda m, k=k: m.pop(k), k) for k in ("feature_space", "class_names", "encoder")],
     (lambda m: m.update(seed="0"), "seed"),
     (lambda m: m.update(variant=3), "variant"),
     (lambda m: m.update(variant="turbo"), "variant"),
-    (lambda m: m.update(current_task=0.5), "current_task"),
+    (lambda m: m.update(seed=-5), "seed"),
     (lambda m: m.update(feature_space=0), "feature_space"),
     (lambda m: m.update(class_names=["cat"]), "class_names"),
     (lambda m: m.update(class_names={"four": "cat"}), "class_names"),
@@ -180,6 +199,7 @@ TRAINER_JSON = [  # (edit of trainer.json's object, key the error names)
     (lambda m: m["encoder"].update(d="4"), "encoder"),
     (lambda m: m["encoder"].update(heads=3), "encoder"),
     (lambda m: m["encoder"].update(tau=math.inf), "tau"),
+    (lambda m: m["class_names"].update({"9": "eel"}), "class_names"),  # no such class
 ]
 
 
@@ -230,3 +250,107 @@ def test_trainer_json_geometry_checked_before_the_stack(tmp_path, monkeypatch, v
     monkeypatch.setattr(tr, "build_stack", no_stack)
     with pytest.raises(FormatError, match=rf"codebooks\.bin: entry '{entry}'"):
         tr.load_checkpoint(tmp_path)
+
+
+def _membership_checkpoint(path):
+    """Save a 2-task checkpoint with heads, keys and both banks on a tiny
+    stack; head 0's columns are not in ascending class order."""
+    state = tr.new_state(EncoderConfig(d=4, d_prime=4, L=1, heads=2, seq_len=3,
+                                       patch_dim=2), seed=0)
+    pr.extend_codebooks(state.books, [4, 7], Rng(0), 0)
+    pr.extend_codebooks(state.books, [2], Rng(1), 1)
+    state.books.keys = {c: np.eye(4, dtype=np.float32)[i] for i, c in enumerate((2, 4, 7))}
+    state.heads.add_task(0, [7, 4])
+    state.heads.add_task(1, [2])
+    for bank in (state.bank1, state.bank2):
+        bank.update((c, gmm.MoG(weights=np.ones(1), means=np.zeros((1, 4)),
+                                covs=np.ones((1, 4)))) for c in (2, 4, 7))
+    state.class_names = {2: "ant", 4: "cat", 7: "dog"}
+    state.current_task = 1
+    tr.save_checkpoint(state, path)
+
+
+_MEMBERSHIP_FILES = {"codebooks": ("codebooks.bin", pr.CODEBOOK_MAGIC),
+                     "heads": ("heads.bin", ls.HEADS_MAGIC),
+                     "bank1": ("bank1.bin", gmm.MOG_MAGIC),
+                     "bank2": ("bank2.bin", gmm.MOG_MAGIC)}
+
+
+def _edited(ids, op, i, new):
+    """``ids`` with entry ``i`` dropped or renamed to ``new``, or with ``new``
+    added."""
+    ids = list(ids)
+    if op == "drop":
+        del ids[i]
+    elif op == "add":
+        ids.append(new)
+    else:
+        ids[i] = new
+    return ids
+
+
+def _edit_membership(ckpt, place, op, pick, new, task):
+    """Drop, add or rename one class in one place of the checkpoint ``ckpt``:
+    the class at position ``pick`` of that place's list, new id ``new``; an
+    added codebook class is owned by ``task``, a head edit hits head
+    ``task % 2``."""
+    if place == "class_names":
+        meta = json.loads((ckpt / "trainer.json").read_text())
+        names = meta["class_names"]
+        keys = sorted(names)
+        i = pick % len(keys)
+        meta["class_names"] = {k: names.get(k, names[keys[i]])
+                               for k in _edited(keys, op, i, str(new))}
+        (ckpt / "trainer.json").write_text(json.dumps(meta))
+        return
+    file, magic = _MEMBERSHIP_FILES[place]
+    arrays = read_archive(ckpt / file, magic)
+    if place == "heads":
+        key = f"classes{task % 2}"
+        classes = arrays[key].tolist()
+        arrays[key] = np.array(_edited(classes, op, pick % len(classes), new), np.int64)
+    else:
+        books = place == "codebooks"
+        cids = (arrays["class_ids"].tolist() if books
+                else sorted(int(k[2:]) for k in arrays if k.startswith("mu")))
+        i = pick % len(cids)
+        parts = ("p", "Q", "A", "w") if books else ("w", "mu", "cov")
+        take = arrays.get if op == "add" else arrays.pop
+        entries = {part: take(f"{part}{cids[i]}") for part in parts}
+        if op != "drop":
+            arrays.update((f"{part}{new}", v) for part, v in entries.items())
+        if books:
+            tasks = arrays["task_of"].tolist()
+            arrays["task_of"] = np.array(
+                _edited(tasks, op, i, tasks[i] if op == "rename" else task), np.int64)
+            arrays["class_ids"] = np.array(_edited(cids, op, i, new), np.int64)
+    write_archive(ckpt / file, magic, arrays)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(place=st.sampled_from(("codebooks", "heads", "bank1", "bank2", "class_names")),
+       op=st.sampled_from(("drop", "add", "rename")), pick=st.integers(min_value=0),
+       new=st.integers(-1, 9), task=st.integers(-1, 2))
+def test_edited_membership_loads_consistent_or_raises_format_error(
+        tmp_path_factory, place, op, pick, new, task):
+    # codebooks.bin owns which classes exist and which task owns each; a
+    # checkpoint that loads has heads, banks and names of exactly those classes
+    base = tmp_path_factory.getbasetemp() / "membership"
+    if not base.exists():
+        _membership_checkpoint(base)
+    ckpt = tmp_path_factory.getbasetemp() / "membership_edited"
+    shutil.rmtree(ckpt, ignore_errors=True)
+    shutil.copytree(base, ckpt)
+    _edit_membership(ckpt, place, op, pick, new, task)
+    try:
+        state = tr.load_checkpoint(ckpt)
+    except FormatError:
+        return
+    cids, task_of = state.books.class_ids, state.books.task_of
+    tasks = sorted(set(task_of.values()))
+    assert tasks == list(range(len(tasks))) and state.current_task == len(tasks) - 1
+    assert state.heads.task_ids() == tasks
+    for t in tasks:
+        assert sorted(state.heads.classes[t]) == [c for c in cids if task_of[c] == t]
+    assert sorted(state.class_names) == sorted(state.class_embeds) == cids
+    assert sorted(state.bank1) == sorted(state.bank2) == cids

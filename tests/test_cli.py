@@ -2,11 +2,12 @@ import csv
 import json
 import os
 import re
+import shutil
 
 import numpy as np
 import pytest
 
-from promptcl import cli, featureio
+from promptcl import cli, featureio, gmm
 from promptcl import losses as ls
 from promptcl import trainer as tr
 
@@ -90,6 +91,7 @@ def test_build_experiment_defaults_and_overrides():
     ("exp.cfg", "tau = Infinity"),
     ("exp.cfg", "tau = NaN"),
     ("exp.json", '{"tau": -Infinity}'),
+    ("exp.cfg", "seeds = -1"),
 ])
 def test_build_experiment_type_checks_name_the_key(tmp_path, name, text):
     path = tmp_path / name
@@ -108,12 +110,18 @@ def test_float_keys_accept_ints():
 
 @pytest.mark.parametrize("text", ["d_prime = 65", "tau = 0", '{"num_tasks": 1,',
                                   "test_per_class = 0", "noise = -1.0",
-                                  "separation = -2.0"])
+                                  "separation = -2.0", "scenario_seed = -3"])
 def test_run_bad_config_prints_error(tmp_path, capsys, text):
     path = tmp_path / "bad.cfg"
     path.write_text(text)
     assert cli.main(["run", str(path)]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_run_negative_seed_flag_prints_error(tmp_path, capsys):
+    assert cli.main(["run", write_cfg(tmp_path), "--seed", "-2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'seeds'" in err
 
 
 def test_every_key_in_readme_and_help(capsys):
@@ -262,6 +270,51 @@ def test_diag_bad_inputs_print_error(tmp_path, capsys):
     assert cli.main(["diag", str(ckpt), cfg, "--out", str(tmp_path / "d")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "trainer.json: invalid JSON" in err
+
+
+def test_diag_membership_edits_print_error(tmp_path, capsys):
+    # codebooks.bin owns which classes exist and which task owns each; the
+    # heads, the banks and trainer.json's names are read against it
+    cfg = write_cfg(tmp_path, E1=1, E2=1)
+    out = tmp_path / "run"
+    assert cli.main(["run", cfg, "--out", str(out), "--seed", "3", "--checkpoint"]) == 0
+    ckpt, pristine = out / "ckpt_seed3", tmp_path / "pristine"
+    shutil.copytree(ckpt, pristine)
+    capsys.readouterr()
+
+    def diag():
+        rc = cli.main(["diag", str(ckpt), cfg, "--out", str(tmp_path / "d")])
+        return rc, capsys.readouterr().err
+
+    # a stale current_task, as older checkpoints wrote it, changes nothing
+    meta = json.loads((ckpt / "trainer.json").read_text())
+    (ckpt / "trainer.json").write_text(json.dumps({**meta, "current_task": 7}))
+    assert diag() == (0, "")
+    assert ((tmp_path / "d" / "confusion.csv").read_bytes()
+            == (out / "confusion_seed3.csv").read_bytes())
+    # a head whose classes are not its task's
+    arrays = featureio.read_archive(ckpt / "heads.bin", ls.HEADS_MAGIC)
+    arrays["classes1"] = np.array([90, 91], np.int64)
+    featureio.write_archive(ckpt / "heads.bin", ls.HEADS_MAGIC, arrays)
+    rc, err = diag()
+    assert rc == 1 and err.startswith("error: ") and "heads.bin" in err and "'classes1'" in err
+    shutil.copy(pristine / "heads.bin", ckpt / "heads.bin")
+    # a codebook class trainer.json does not name
+    del meta["class_names"][min(meta["class_names"])]
+    (ckpt / "trainer.json").write_text(json.dumps(meta))
+    rc, err = diag()
+    assert rc == 1 and err.startswith("error: ") and "trainer.json" in err
+    assert "'class_names'" in err
+    shutil.copy(pristine / "trainer.json", ckpt / "trainer.json")
+    # a bank without one of the codebook's classes
+    arrays = featureio.read_archive(ckpt / "bank1.bin", gmm.MOG_MAGIC)
+    cid = min(int(k[2:]) for k in arrays if k.startswith("mu"))
+    for part in ("w", "mu", "cov"):
+        del arrays[f"{part}{cid}"]
+    featureio.write_archive(ckpt / "bank1.bin", gmm.MOG_MAGIC, arrays)
+    rc, err = diag()
+    assert rc == 1 and err.startswith("error: ") and "bank1.bin" in err
+    assert f"'w{cid}'" in err
 
 
 def test_run_encodes_each_test_set_once_per_seed(monkeypatch):

@@ -135,7 +135,7 @@ def test_bank_round_trip(tmp_path):
             for c in (0, 3)}
     path = tmp_path / "bank.bin"
     gmm.save_bank(path, bank)
-    back = gmm.load_bank(path, 4)
+    back = gmm.load_bank(path, 4, [0, 3])
     assert set(back) == {0, 3}
     for c in (0, 3):  # float64 mixtures are archived as f8: the round trip is bitwise
         for attr in ("weights", "means", "covs"):
@@ -153,12 +153,12 @@ def test_load_bank_checks_shapes(tmp_path):
               "full0": np.array([0], np.int64)}  # flag stored by older banks
     path = tmp_path / "bank.bin"
     write_archive(path, gmm.MOG_MAGIC, arrays)
-    assert gmm.load_bank(path, d)[0].covs.shape == (m, d)
+    assert gmm.load_bank(path, d, [0])[0].covs.shape == (m, d)
     with pytest.raises(FormatError, match="class 0 mixture shapes"):
-        gmm.load_bank(path, d + 1)  # mixtures of another feature space
+        gmm.load_bank(path, d + 1, [0])  # mixtures of another feature space
     for bad in ({"cov0": np.tile(np.eye(d), (m, 1, 1))},   # full covariances
                 {"w0": np.full(m + 1, 1.0 / (m + 1))},
                 {"mu0": np.zeros(m)}):
         write_archive(path, gmm.MOG_MAGIC, {**arrays, **bad})
         with pytest.raises(FormatError, match="class 0 mixture shapes"):
-            gmm.load_bank(path, d)
+            gmm.load_bank(path, d, [0])

@@ -151,7 +151,7 @@ def test_gr_loss_second_single_task_zero_head():
     bank = point_mass_bank({0: [1, 0, 0, 0.0], 1: [0, 1, 0, 0.0], 2: [0, 0, 1, 0.0]})
     w = ad.constant(np.zeros((4, 3), np.float32))
     b = ad.constant(np.zeros(3, np.float32))
-    loss = ls.gr_loss_second([(w, b)], [3], bank, [0, 1, 2], n=8, rng=Rng(7))
+    loss = ls.gr_loss_second([(w, b)], bank, [0, 1, 2], n=8, rng=Rng(7))
     assert abs(loss.item() - np.log(3)) < 1e-6
 
 
@@ -161,7 +161,7 @@ def test_gr_loss_second_confident_heads():
     w[0, 0] = 10.0
     w[1, 1] = 10.0
     loss = ls.gr_loss_second([(ad.constant(w), ad.constant(np.zeros(2, np.float32)))],
-                             [2], bank, [0, 1], n=8, rng=Rng(8))
+                             bank, [0, 1], n=8, rng=Rng(8))
     assert loss.item() < 1e-3
 
 
@@ -173,10 +173,17 @@ def test_gr_loss_second_trains_all_heads_and_logit_width():
         w = ad.Tensor(np.zeros((4, 2), np.float32), requires_grad=True)
         b = ad.Tensor(np.zeros(2, np.float32), requires_grad=True)
         params.append((w, b))
-    loss = ls.gr_loss_second(params, [2, 2, 2], bank, list(range(6)), n=4, rng=Rng(9))
+    loss = ls.gr_loss_second(params, bank, list(range(6)), n=4, rng=Rng(9))
     loss.backward()
     assert params[0][0].grad is not None  # earliest head updated during replay
     assert all(w.grad is not None for w, _ in params)
+
+
+def test_gr_loss_second_rejects_heads_that_miss_a_class():
+    bank = point_mass_bank({c: np.eye(4)[c] for c in range(3)})
+    head = (ad.constant(np.zeros((4, 2), np.float32)), ad.constant(np.zeros(2, np.float32)))
+    with pytest.raises(ls.LossError, match="head widths"):
+        ls.gr_loss_second([head], bank, [0, 1, 2], n=4, rng=Rng(9))
 
 
 def test_losses_nonnegative_and_finite():
@@ -196,7 +203,7 @@ def test_heads_checkpoint_round_trip(tmp_path):
     heads.heads[1][0][:] = Rng(11).normal((4, 3))
     path = tmp_path / "heads.bin"
     ls.save_heads(path, heads)
-    back = ls.load_heads(path, ls.ClassifierHeads(d_prime=4))
+    back = ls.load_heads(path, ls.ClassifierHeads(d_prime=4), [[0, 1], [2, 3, 4]])
     assert back.task_ids() == [0, 1]
     assert back.all_classes() == [0, 1, 2, 3, 4]
     np.testing.assert_array_equal(back.heads[1][0], heads.heads[1][0])

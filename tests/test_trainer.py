@@ -361,18 +361,35 @@ def test_determinism_same_seed():
         np.testing.assert_array_equal(a.books.p[cid], b.books.p[cid])
 
 
-def _add_older_geometry(ckpt, books, edit_books=None):
-    """Rewrite a checkpoint's archives as the older format wrote them: the
-    geometry first in both, as codebooks.bin's ``meta`` and heads.bin's
-    ``d_prime``; ``edit_books`` may change the codebook entries too."""
+def _ids(arrays, prefix):
+    """The ids ``i`` of an archive's entries named ``prefix{i}``."""
+    return np.array(sorted(int(k[len(prefix):]) for k in arrays if k.startswith(prefix)),
+                    np.int64)
+
+
+def _add_older_entries(ckpt, books, edit_books=None, current_task=7):
+    """Rewrite a checkpoint as the older format wrote it: the geometry first
+    in codebooks.bin (``meta``) and heads.bin (``d_prime``), then heads.bin's
+    task list (``tasks``), each bank's class list (``class_ids``) and
+    trainer.json's ``current_task``, here ``current_task``; ``edit_books``
+    may change the codebook entries too."""
     meta = np.array([books.d, books.L, books.d_prime, books.prefix_tokens], np.int64)
-    for name, magic, first in (("codebooks.bin", pr.CODEBOOK_MAGIC, {"meta": meta}),
-                               ("heads.bin", ls.HEADS_MAGIC,
-                                {"d_prime": np.array([books.d_prime], np.int64)})):
+    bank_ids = lambda a: {"class_ids": _ids(a, "mu")}  # noqa: E731
+    older = {"codebooks.bin": (pr.CODEBOOK_MAGIC, lambda a: {"meta": meta}),
+             "heads.bin": (ls.HEADS_MAGIC,
+                           lambda a: {"d_prime": np.array([books.d_prime], np.int64),
+                                      "tasks": _ids(a, "classes")}),
+             "bank1.bin": (gmm.MOG_MAGIC, bank_ids), "bank2.bin": (gmm.MOG_MAGIC, bank_ids)}
+    for name, (magic, first) in older.items():
+        if not (ckpt / name).exists():
+            continue
         arrays = featureio.read_archive(ckpt / name, magic)
         if edit_books and name == "codebooks.bin":
             edit_books(arrays)
-        featureio.write_archive(ckpt / name, magic, {**first, **arrays})
+        featureio.write_archive(ckpt / name, magic, {**first(arrays), **arrays})
+    trainer_json = json.loads((ckpt / "trainer.json").read_text())
+    trainer_json["current_task"] = current_task
+    (ckpt / "trainer.json").write_text(json.dumps(trainer_json, indent=2, sort_keys=True))
 
 
 @pytest.fixture(scope="module")
@@ -390,7 +407,7 @@ def trained_checkpoint(tmp_path_factory):
     return get
 
 
-@pytest.mark.parametrize("variant", [None, "prefix_tuning", "no_first_level"])
+@pytest.mark.parametrize("variant", (None,) + tr.VARIANTS)
 def test_older_format_checkpoint_predicts_the_same(tmp_path, trained_checkpoint,
                                                     variant):
     stream, path = trained_checkpoint(variant)
@@ -405,11 +422,31 @@ def test_older_format_checkpoint_predicts_the_same(tmp_path, trained_checkpoint,
         for c in fresh.books.class_ids:
             arrays[f"p{c}"] = Rng(c).normal((CFG.d,), std=pr.PROMPT_INIT_STD)
 
-    _add_older_geometry(tmp_path, fresh.books,
-                         untrained_prompts if variant == "no_first_level" else None)
-    got = tr.predict_batch(tr.load_checkpoint(tmp_path), x)
+    _add_older_entries(tmp_path, fresh.books,
+                       untrained_prompts if variant == "no_first_level" else None)
+    older = tr.load_checkpoint(tmp_path)
+    assert older.current_task == 1  # not the stale current_task
+    got = tr.predict_batch(older, x)
     assert got[0] == want[0] and got[2] == want[2]
     assert got[1].tobytes() == want[1].tobytes()
+
+
+def test_edited_current_task_changes_nothing(tmp_path, trained_checkpoint):
+    # the last task is codebooks.bin's; a current_task in trainer.json, as
+    # older checkpoints wrote it, is not read
+    stream, path = trained_checkpoint(None)
+    x = np.concatenate([task.test_x for task in stream.tasks])
+    want = tr.predict_batch(tr.load_checkpoint(path), x)
+    shutil.copytree(path, tmp_path, dirs_exist_ok=True)
+    meta = json.loads((tmp_path / "trainer.json").read_text())
+    for stale in (7, 0, -1, 0.5):
+        meta["current_task"] = stale
+        (tmp_path / "trainer.json").write_text(json.dumps(meta))
+        state = tr.load_checkpoint(tmp_path)
+        assert state.current_task == 1
+        got = tr.predict_batch(state, x)
+        assert got[0] == want[0] and got[2] == want[2]
+        assert got[1].tobytes() == want[1].tobytes()
 
 
 @pytest.mark.parametrize("variant", [None, "prefix_tuning", "no_first_level",
@@ -446,24 +483,27 @@ def test_checkpoint_round_trip(tmp_path):
     assert pa == pb and ca == cb
     np.testing.assert_allclose(la, lb, atol=1e-6)
     with open(tmp_path / "trainer.json") as f:
-        meta = json.load(f)
-    assert meta["current_task"] == 1
+        assert "current_task" not in json.load(f)  # codebooks.bin's last task
 
     # older checkpoints also stored the geometry in both archives, each
-    # class's freeze flag and the task -> class lists; a reader ignores them
-    _add_older_geometry(tmp_path, back.books)
+    # class's freeze flag, the task -> class lists, the head and bank lists
+    # and the last task; a reader ignores them
+    _add_older_entries(tmp_path, back.books, current_task=1)
     books_path = tmp_path / "codebooks.bin"
     arrays = featureio.read_archive(books_path, pr.CODEBOOK_MAGIC)
     old = {k: arrays[k] for k in ("meta", "class_ids")}
     old["trainable"] = np.zeros(len(arrays["class_ids"]), np.int64)
     old.update((k, v) for k, v in arrays.items() if k not in old)
     featureio.write_archive(books_path, pr.CODEBOOK_MAGIC, old)
+    with open(tmp_path / "trainer.json") as f:
+        meta = json.load(f)
     meta["task_classes"] = {str(t): [int(c) for c in task.class_ids]
                             for t, task in enumerate(stream.tasks)}
     with open(tmp_path / "trainer.json", "w") as f:
         json.dump(meta, f)
     older = tr.load_checkpoint(tmp_path)
     assert older.books.task_of == back.books.task_of
+    assert older.current_task == back.current_task
     po, lo, co = tr.predict_batch(older, x)
     assert po == pb and co == cb
     assert lo.tobytes() == lb.tobytes()
