@@ -24,7 +24,6 @@ import ctypes
 import math
 
 import numpy as np
-from scipy.special import erf
 
 from . import PromptclError
 
@@ -251,9 +250,13 @@ def erf32(x):
 
 def _gelu_forward(x, with_slope):
     """(gelu(x), d gelu/dx or None), leaving ``x`` untouched. float32 uses
-    ``erf32``; float64, the oracle dtype, scipy's erf."""
+    ``erf32``; float64, the gradient oracle's dtype, scipy's erf."""
     phi = np.divide(x, np.sqrt(2.0, dtype=x.dtype), out=np.empty_like(x))
-    phi = erf32(phi) if x.dtype == np.float32 else erf(phi, out=phi)
+    if x.dtype == np.float32:
+        phi = erf32(phi)
+    else:
+        from scipy.special import erf  # imported here: float32 runs never load scipy
+        phi = erf(phi, out=phi)
     phi += 1.0
     phi *= 0.5
     out = x * phi

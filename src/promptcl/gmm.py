@@ -1,7 +1,8 @@
 """Per-class Mixture-of-Gaussians feature models: EM fitting and sampling.
 
 Covariances are diagonal. All EM statistics are accumulated in float64; fits
-are deterministic under a fixed sample order and seed.
+are deterministic under a fixed sample order and seed. The log-sum-exp is
+numpy's own (``_logsumexp``), computed as scipy's is, so no scipy is loaded.
 """
 from __future__ import annotations
 
@@ -9,7 +10,6 @@ from dataclasses import dataclass, field
 from typing import ClassVar
 
 import numpy as np
-from scipy.special import logsumexp
 
 from . import PromptclError
 from .featureio import FormatError, archive_entry, read_archive, write_archive
@@ -62,13 +62,32 @@ def _component_log_density(mog: MoG, x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _logsumexp(a, axis, keepdims):
+    """``scipy.special.logsumexp(a, axis, keepdims=keepdims)`` for real float
+    ``a``, operation for operation as scipy 1.17 computes it, so results agree
+    bit for bit: the max entries are counted and kept out of the shifted sum,
+    and a non-finite result falls back to log(sum(exp(a)))."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        fallback = np.log(np.sum(np.exp(a), axis=axis, keepdims=True))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a_max = np.max(a, axis=axis, keepdims=True)
+        at_max = a == a_max
+        count = np.sum(at_max.astype(a.dtype), axis=axis, keepdims=True, dtype=a.dtype)
+        rest = np.exp(np.where(at_max, -np.inf, a) - a_max)
+        s = np.sum(rest, axis=axis, keepdims=True, dtype=a.dtype)
+        s = np.where(s == 0, s, s / count)
+        out = np.log1p(s) + np.log(count) + a_max
+    out = np.where(np.isfinite(out), out, fallback)
+    return out if keepdims else np.squeeze(out, axis=axis)
+
+
 def log_likelihood(mog: MoG, samples) -> float:
     """Sum of log mixture densities over the samples (log-sum-exp)."""
     x = np.asarray(samples, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != mog.dim:
         raise FitError(f"samples shape {x.shape} does not match mixture dim {mog.dim}")
     comp = _component_log_density(mog, x) + np.log(mog.weights)
-    return float(logsumexp(comp, axis=1).sum())
+    return float(_logsumexp(comp, axis=1, keepdims=False).sum())
 
 
 def _farthest_point_seeds(x: np.ndarray, m: int, seed: int) -> np.ndarray:
@@ -107,7 +126,7 @@ def fit_em(samples, cfg: EMConfig) -> MoG:
     for _ in range(cfg.max_iters):
         # E-step
         comp = _component_log_density(mog, x) + np.log(mog.weights)
-        norm = logsumexp(comp, axis=1, keepdims=True)
+        norm = _logsumexp(comp, axis=1, keepdims=True)
         history.append(float(norm.sum()))
         resp = np.exp(comp - norm)  # rows sum to 1
 

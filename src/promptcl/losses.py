@@ -53,11 +53,14 @@ class ClassifierHeads:
 
 def _nll(log_probs: ad.Tensor, label_idx) -> ad.Tensor:
     b, c = log_probs.shape
+    idx = np.asarray(label_idx)
+    if idx.shape != (b,):
+        raise LossError(f"label indices of shape {idx.shape} for a batch of {b} rows")
+    bad = (idx < 0) | (idx >= c)
+    if bad.any():
+        raise LossError(f"label index {idx[bad][0]} outside denominator set of size {c}")
     onehot = np.zeros((b, c), np.float32)
-    for i, y in enumerate(label_idx):
-        if not 0 <= y < c:
-            raise LossError(f"label index {y} outside denominator set of size {c}")
-        onehot[i, y] = 1.0
+    onehot[np.arange(b), idx] = 1.0
     picked = ad.rsum(ad.mul(log_probs, ad.constant(onehot)))
     return ad.scale(picked, -1.0 / b)
 

@@ -165,11 +165,14 @@ def save_codebooks(path, books: Codebooks) -> None:
 
 def load_codebooks(path, books: Codebooks) -> Codebooks:
     """Fill the empty ``books`` from an archive written by ``save_codebooks``,
-    checking every entry against ``books``' geometry; its owning tasks must
-    number 0..T-1. Other entries (older archives' ``meta`` and ``trainable``)
-    are ignored; a missing or misshapen one raises FormatError naming it."""
+    checking every entry against ``books``' geometry; its class ids must be
+    distinct and its owning tasks must number 0..T-1. Other entries (older
+    archives' ``meta`` and ``trainable``) are ignored; a missing or misshapen
+    one raises FormatError naming it."""
     arrays = read_archive(path, CODEBOOK_MAGIC)
     cids = archive_entry(arrays, path, "class_ids", "i", (None,)).tolist()
+    if len(set(cids)) != len(cids):
+        raise FormatError(f"{path}: entry 'class_ids' repeats a class id")
     tasks = archive_entry(arrays, path, "task_of", "i", (len(cids),)).tolist()
     if sorted(set(tasks)) != list(range(len(set(tasks)))):
         raise FormatError(f"{path}: entry 'task_of' must number the tasks 0..T-1")

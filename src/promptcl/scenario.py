@@ -41,7 +41,8 @@ class ScenarioSpec:
             raise ScenarioError("feature-file kind needs feature_path")
         for name in ("separation", "noise", "seed"):  # 0 is allowed for each
             if getattr(self, name) < 0:
-                raise ScenarioError(f"{name} must be >= 0, got {getattr(self, name)}")
+                key = "scenario_seed" if name == "seed" else name  # the config key
+                raise ScenarioError(f"{key} must be >= 0, got {getattr(self, name)}")
         if self.kind != "feature-file":  # a feature file splits by their ratio
             for name in ("train_per_class", "test_per_class"):
                 if getattr(self, name) < 1:

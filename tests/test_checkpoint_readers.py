@@ -78,6 +78,9 @@ INCOMPLETE = [  # (reader, edit of a valid archive, entry the error names)
     ("codebooks", lambda a: a.update(class_ids=a["class_ids"].astype(np.float64)),
      "class_ids"),
     ("prefix_codebooks", lambda a: a.update(Q2=a["Q2"][:, :2]), "Q2"),
+    ("prefix_codebooks", lambda a: a.update(class_ids=np.append(a["class_ids"], 4),
+                                            task_of=np.append(a["task_of"], 0)),
+     "class_ids"),  # a second class 4
     ("bank", lambda a: a.pop("mu4"), "mu4"),
     ("bank", lambda a: [a.pop(f"{part}4") for part in ("w", "mu", "cov")], "w4"),
 ]

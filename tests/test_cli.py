@@ -118,6 +118,13 @@ def test_run_bad_config_prints_error(tmp_path, capsys, text):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_run_negative_scenario_seed_names_the_key(tmp_path, capsys):
+    path = tmp_path / "bad.cfg"
+    path.write_text("scenario_seed = -3")
+    assert cli.main(["run", str(path)]) == 1
+    assert "scenario_seed" in capsys.readouterr().err
+
+
 def test_run_negative_seed_flag_prints_error(tmp_path, capsys):
     assert cli.main(["run", write_cfg(tmp_path), "--seed", "-2"]) == 1
     err = capsys.readouterr().err

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import logsumexp
 
 from promptcl import gmm
 from promptcl.rng import Rng
@@ -162,3 +165,25 @@ def test_load_bank_checks_shapes(tmp_path):
         write_archive(path, gmm.MOG_MAGIC, {**arrays, **bad})
         with pytest.raises(FormatError, match="class 0 mixture shapes"):
             gmm.load_bank(path, d, [0])
+
+
+# finite values, plus a few repeated ones and -inf so rows hold ties
+_LSE_VALUES = st.one_of(st.floats(-800.0, 800.0), st.sampled_from([-np.inf, 0.0, 1.5, -3.0]))
+
+
+@st.composite
+def _lse_arrays(draw):
+    n, m = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    a = np.array(draw(st.lists(_LSE_VALUES, min_size=n * m, max_size=n * m)),
+                 np.float64).reshape(n, m)
+    a[draw(st.lists(st.booleans(), min_size=n, max_size=n))] = -np.inf  # all -inf rows
+    return a
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(a=_lse_arrays(), keepdims=st.booleans())
+def test_logsumexp_matches_scipy_bitwise(a, keepdims):
+    got = gmm._logsumexp(a, axis=1, keepdims=keepdims)
+    want = logsumexp(a, axis=1, keepdims=keepdims)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()

@@ -65,6 +65,13 @@ def test_ce_stage2_dominant_logit():
     assert loss.item() < 0.01
 
 
+@pytest.mark.parametrize("labels", [[0, 1], [0, 1, 0, 1, 0], [[0, 1, 0, 1]]])
+def test_ce_stage2_label_count_must_match_batch(labels):
+    w, b = np.zeros((3, 2), np.float32), np.zeros(2, np.float32)
+    with pytest.raises(ls.LossError, match="for a batch of 4 rows"):
+        ls.ce_stage2(ad.constant(w), ad.constant(b), np.ones((4, 3), np.float32), labels)
+
+
 def test_ce_stage2_duplicate_task_head_rejected():
     heads = ls.ClassifierHeads(d_prime=4)
     heads.add_task(0, [0, 1])
