@@ -8,9 +8,11 @@ and ``frozen_block``, a whole frozen transformer block as one node.
 ``cli.gradcheck_suite`` composes this same set against finite differences.
 
 Graphs are built eagerly and single-threaded; ``backward`` walks the tape in
-reverse topological order exactly once. Storage defaults to float32 (switchable
-to float64 for finite-difference oracles via ``use_dtype``); the layer-norm
-statistics inside ``frozen_block`` are accumulated in float64 regardless.
+reverse topological order exactly once. A tensor's precision follows its data:
+a float64 array stays float64 (the finite-difference oracle's leaves), anything
+else is stored as float32, and ops mixing the two promote under numpy's rules.
+The layer-norm statistics inside ``frozen_block`` are accumulated in float64
+regardless.
 
 Importing this module, and so importing ``promptcl``, changes glibc's
 allocator for the whole process: freed memory is kept mapped (see
@@ -19,7 +21,6 @@ instead of being unmapped and faulted in again on the next call.
 """
 from __future__ import annotations
 
-import contextlib
 import ctypes
 import math
 
@@ -63,24 +64,6 @@ def _keep_freed_heap_mapped() -> bool:
 
 HEAP_KEPT_MAPPED = _keep_freed_heap_mapped()
 
-_DTYPE = np.float32
-
-
-def default_dtype():
-    return _DTYPE
-
-
-@contextlib.contextmanager
-def use_dtype(dtype):
-    """Temporarily switch the dtype used for newly created tensors."""
-    global _DTYPE
-    prev = _DTYPE
-    _DTYPE = np.dtype(dtype).type
-    try:
-        yield
-    finally:
-        _DTYPE = prev
-
 
 def _ensure_finite(arr, op):
     if not np.isfinite(arr).all():
@@ -98,7 +81,8 @@ class Tensor:
                  "_backward_done")
 
     def __init__(self, data, requires_grad=False):
-        self.data = np.asarray(data, dtype=default_dtype())
+        f64 = isinstance(data, np.ndarray) and data.dtype == np.float64
+        self.data = np.asarray(data, dtype=np.float64 if f64 else np.float32)
         _ensure_finite(self.data, "leaf")
         self.grad = None
         self.requires_grad = bool(requires_grad)
@@ -169,7 +153,7 @@ def _toposort(root):
 
 
 def _wrap(x):
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=default_dtype()))
+    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def constant(data):
@@ -308,14 +292,6 @@ def _softmax_backward(g, s):
 def _dense(x, w):
     """``x @ w`` for a 2-D ``w`` as one BLAS call over all leading axes."""
     return (x.reshape(-1, x.shape[-1]) @ w).reshape(x.shape[:-1] + w.shape[-1:])
-
-
-def _affine(x, w, b):
-    """``x @ w + b`` with one product per sample, unlike ``_dense``: a
-    forward row's bits then do not depend on the batch it came in."""
-    out = np.matmul(x, w)
-    out += b
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -510,9 +486,9 @@ def slice_axis(a, axis, start, stop):
 def frozen_block(h, w, heads, residual=None, prefix_kv=None, cls_only=False):
     """One pre-norm transformer block with frozen weights, as one graph node.
 
-    ``w`` maps ``wq bq wk bk wv bv wo bo w1 b1 w2 b2`` to constant arrays;
-    ``h`` is ``(..., n, D)``. ``residual`` is added to the post-attention
-    activation (before the MLP branch) and broadcasts against it.
+    ``w`` maps ``wq wk wv wo w1 w2`` to constant matrices; the block has no
+    biases. ``h`` is ``(..., n, D)``. ``residual`` is added to the
+    post-attention activation (before the MLP branch) and broadcasts against it.
     ``prefix_kv`` ``(..., 2p, D)`` prepends its first p rows to the keys and
     its last p rows to the values. With ``cls_only`` only row 0 is computed
     and returned, ``(..., 1, D)``: the keys and values still see every token.
@@ -536,10 +512,12 @@ def frozen_block(h, w, heads, residual=None, prefix_kv=None, cls_only=False):
     def merge(t):  # (..., heads, m, dh) -> (..., m, D)
         return np.swapaxes(t, -3, -2).reshape(t.shape[:-3] + (t.shape[-2], dim))
 
+    # forward products run per sample (np.matmul, not _dense's one BLAS
+    # call): a forward row's bits then do not depend on the batch it came in
     xn, std_h = _layer_norm_forward(x)
-    q = _affine(xn[..., :nq, :], w["wq"], w["bq"])
-    k = _affine(xn, w["wk"], w["bk"])
-    v = _affine(xn, w["wv"], w["bv"])
+    q = np.matmul(xn[..., :nq, :], w["wq"])
+    k = np.matmul(xn, w["wk"])
+    v = np.matmul(xn, w["wv"])
     n_pre = 0
     if prefix_kv is not None:
         kv = prefix_kv.data
@@ -550,14 +528,14 @@ def frozen_block(h, w, heads, residual=None, prefix_kv=None, cls_only=False):
     scores = np.matmul(qh, np.swapaxes(kh, -1, -2))
     scores *= score_scale
     probs = _softmax_forward(scores)
-    e = _affine(merge(np.matmul(probs, vh)), w["wo"], w["bo"])
+    e = np.matmul(merge(np.matmul(probs, vh)), w["wo"])
     e += x[..., :nq, :]
     if residual is not None:
         e = e + residual.data
     yn, std_e = _layer_norm_forward(e)
-    act, slope = _gelu_forward(_affine(yn, w["w1"], w["b1"]),
+    act, slope = _gelu_forward(np.matmul(yn, w["w1"]),
                                with_slope=need_h or need_res or need_pre)
-    out = _affine(act, w["w2"], w["b2"])
+    out = np.matmul(act, w["w2"])
     out += e
 
     def backward(g):

@@ -39,17 +39,27 @@ def _parse_value(text: str):
 
 
 def parse_config(path) -> dict:
+    """The key -> value mapping of a config file; a key given twice is a
+    ConfigError naming it (and, in a flat file, both lines)."""
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
     with open(path) as f:
         raw = f.read()
     stripped = raw.lstrip()
     if stripped.startswith("{"):
+        def unique(pairs):
+            obj = {}
+            for k, v in pairs:
+                if k in obj:
+                    raise ConfigError(f"{path}: key '{k}' is given twice")
+                obj[k] = v
+            return obj
+
         try:
-            return json.loads(raw)
+            return json.loads(raw, object_pairs_hook=unique)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: invalid JSON: {exc}") from None
-    out = {}
+    out, lines = {}, {}
     for ln, line in enumerate(raw.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -57,7 +67,10 @@ def parse_config(path) -> dict:
         if "=" not in line:
             raise ConfigError(f"{path}:{ln}: expected key = value")
         key, val = (part.strip() for part in line.split("=", 1))
-        out[key] = _parse_value(val)
+        if key in lines:
+            raise ConfigError(f"{path}: key '{key}' is given twice, "
+                              f"on lines {lines[key]} and {ln}")
+        out[key], lines[key] = _parse_value(val), ln
     return out
 
 
@@ -128,12 +141,15 @@ def _seeds(key: ConfigKey, value) -> tuple:
 def _checked(key: ConfigKey, value):
     """``value`` as ``key``'s type; a ConfigError naming the key otherwise.
 
-    Int keys reject bools, floats and strings; float keys accept ints.
+    Int keys reject bools, floats and strings; float keys accept ints and
+    reject NaN and +-Infinity.
     """
     if key.type is tuple:
         return _seeds(key, value)
     allowed = typing.get_args(key.type) or (key.type,)
-    if float in allowed and type(value) is int:
+    if float in allowed and type(value) in (int, float):
+        if not abs(value) <= sys.float_info.max:  # NaN, +-inf or an int past the float range
+            raise ConfigError(f"config key '{key.name}' must be finite, got {value!r}")
         return float(value)
     if type(value) not in allowed:
         raise ConfigError(f"config key '{key.name}' must be of type "

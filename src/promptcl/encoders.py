@@ -3,7 +3,9 @@ the main transformer, including the per-layer residual injection hook.
 
 All weights are pure functions of (config, seed) and are never updated by any
 optimizer; gradients only ever flow into prompt tokens, residuals, or prefix
-tokens passed in from outside.
+tokens passed in from outside. A block holds only its six weight matrices
+(``wq wk wv wo w1 w2``), no biases. Blocks run in float32 unless a float64
+prompt, residual or prefix (the gradient oracle's) enters them.
 """
 from __future__ import annotations
 
@@ -67,13 +69,12 @@ def _init_block(rng: Rng, dim: int) -> dict:
     s = 1.0 / np.sqrt(dim)
     hidden = 4 * dim
     return {
-        "wq": rng.normal((dim, dim), std=s), "bq": np.zeros(dim, np.float32),
-        "wk": rng.normal((dim, dim), std=s), "bk": np.zeros(dim, np.float32),
-        "wv": rng.normal((dim, dim), std=s), "bv": np.zeros(dim, np.float32),
-        "wo": rng.normal((dim, dim), std=s), "bo": np.zeros(dim, np.float32),
-        "w1": rng.normal((dim, hidden), std=s), "b1": np.zeros(hidden, np.float32),
+        "wq": rng.normal((dim, dim), std=s),
+        "wk": rng.normal((dim, dim), std=s),
+        "wv": rng.normal((dim, dim), std=s),
+        "wo": rng.normal((dim, dim), std=s),
+        "w1": rng.normal((dim, hidden), std=s),
         "w2": rng.normal((hidden, dim), std=1.0 / np.sqrt(hidden)),
-        "b2": np.zeros(dim, np.float32),
     }
 
 
@@ -224,7 +225,7 @@ def vit_forward(stack: FrozenStack, x=None, residuals=None, tokens=None,
     cfg = stack.config
     if tokens is None:
         tokens = embed_tokens(stack, x)
-    tokens = np.asarray(tokens, dtype=ad.default_dtype())
+    tokens = np.asarray(tokens, dtype=np.float32)
     squeeze = tokens.ndim == 2
     if squeeze:
         tokens = tokens[None]

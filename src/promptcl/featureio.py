@@ -67,7 +67,7 @@ def load_feature_file(path):
 
 ARCHIVE_VERSION = 2
 _READ_VERSIONS = (1, 2)
-_DTYPES = {b"f4": "<f4", b"f8": "<f8", b"i8": "<i8"}
+_CODE_TYPES = {b"f4": "<f4", b"f8": "<f8", b"i8": "<i8"}
 
 
 def write_archive(path, magic: bytes, arrays: dict) -> None:
@@ -86,7 +86,7 @@ def write_archive(path, magic: bytes, arrays: dict) -> None:
                 code = b"f4"
             else:
                 code = b"i8"
-            arr = arr.astype(_DTYPES[code])
+            arr = arr.astype(_CODE_TYPES[code])
             nb = name.encode("utf-8")
             f.write(struct.pack("<I", len(nb)))
             f.write(nb)
@@ -122,11 +122,11 @@ def read_archive(path, magic: bytes) -> dict:
         except UnicodeDecodeError:
             raise FormatError(f"{path}: array name is not UTF-8") from None
         code = chunk(2, f"the dtype of {name!r}")
-        if code not in _DTYPES:
+        if code not in _CODE_TYPES:
             raise FormatError(f"{path}: unknown dtype code {code!r}")
         (ndim,) = struct.unpack("<I", chunk(4, f"the rank of {name!r}"))
         shape = struct.unpack(f"<{ndim}I", chunk(4 * ndim, f"the shape of {name!r}"))
-        dt = np.dtype(_DTYPES[code])
+        dt = np.dtype(_CODE_TYPES[code])
         payload = chunk(math.prod(shape) * dt.itemsize, f"array {name!r}")
         try:
             arrays[name] = np.frombuffer(payload, dtype=dt).reshape(shape).copy()

@@ -78,30 +78,29 @@ def grad_check(fn, params: dict, tol: float = 1e-4, h: float = 1e-3) -> GradChec
     name -> numpy array mapping on every call. The comparison runs in float64
     so the finite-difference oracle is not limited by storage precision.
     """
-    with ad.use_dtype(np.float64):
-        params64 = {k: np.asarray(v, dtype=np.float64) for k, v in params.items()}
-        tensors = {k: ad.Tensor(v, requires_grad=True) for k, v in params64.items()}
-        loss = fn(tensors)
-        loss.backward()
-        analytic = {k: (t.grad if t.grad is not None else np.zeros_like(t.data))
-                    for k, t in tensors.items()}
+    params64 = {k: np.asarray(v, dtype=np.float64) for k, v in params.items()}
+    tensors = {k: ad.Tensor(v, requires_grad=True) for k, v in params64.items()}
+    loss = fn(tensors)
+    loss.backward()
+    analytic = {k: (t.grad if t.grad is not None else np.zeros_like(t.data))
+                for k, t in tensors.items()}
 
-        per_param = {}
-        for name, p in params64.items():
-            num = np.zeros_like(p)
-            flat = p.reshape(-1)
-            nflat = num.reshape(-1)
-            for i in range(flat.size):
-                orig = flat[i]
-                flat[i] = orig + h
-                fp = fn({k: ad.Tensor(v) for k, v in params64.items()}).item()
-                flat[i] = orig - h
-                fm = fn({k: ad.Tensor(v) for k, v in params64.items()}).item()
-                flat[i] = orig
-                nflat[i] = (fp - fm) / (2.0 * h)
-            a = analytic[name]
-            denom = np.maximum(np.maximum(np.abs(a), np.abs(num)), 1.0)
-            per_param[name] = float(np.max(np.abs(a - num) / denom)) if p.size else 0.0
+    per_param = {}
+    for name, p in params64.items():
+        num = np.zeros_like(p)
+        flat = p.reshape(-1)
+        nflat = num.reshape(-1)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + h
+            fp = fn({k: ad.Tensor(v) for k, v in params64.items()}).item()
+            flat[i] = orig - h
+            fm = fn({k: ad.Tensor(v) for k, v in params64.items()}).item()
+            flat[i] = orig
+            nflat[i] = (fp - fm) / (2.0 * h)
+        a = analytic[name]
+        denom = np.maximum(np.maximum(np.abs(a), np.abs(num)), 1.0)
+        per_param[name] = float(np.max(np.abs(a - num) / denom)) if p.size else 0.0
 
     worst = max(per_param.values()) if per_param else 0.0
     return GradCheckReport(max_rel_err=worst, per_param=per_param, tol=tol)

@@ -170,6 +170,8 @@ def load_codebooks(path, books: Codebooks) -> Codebooks:
     archives' ``meta`` and ``trainable``) are ignored; a missing or misshapen
     one raises FormatError naming it."""
     arrays = read_archive(path, CODEBOOK_MAGIC)
+    # rows are float32 however an edited archive stored them: they feed float32 graphs
+    arrays = {k: v.astype(np.float32) if v.dtype == np.float64 else v for k, v in arrays.items()}
     cids = archive_entry(arrays, path, "class_ids", "i", (None,)).tolist()
     if len(set(cids)) != len(cids):
         raise FormatError(f"{path}: entry 'class_ids' repeats a class id")

@@ -403,7 +403,7 @@ class QuerySet:
         the rows whose conditioning may differ from the kept one."""
         n = len(self.raw)
         if self.cls is None:
-            self.feats = np.empty((n, state.stack.config.d_prime), ad.default_dtype())
+            self.feats = np.empty((n, state.stack.config.d_prime), np.float32)
             stale = np.arange(n)
         else:
             # a class of an unfinished task may still be trained

@@ -76,6 +76,21 @@ def test_nonfinite_output_names_the_op():
         ad.scale(ad.Tensor([1e30, 0.0]), 1e10)
 
 
+def test_tensor_precision_follows_its_data():
+    # a float64 array stays float64; numbers, lists and other arrays are float32
+    assert ad.Tensor(np.zeros(3, np.float64)).data.dtype == np.float64
+    for data in (1.5, 2, [1.0, 2.0], np.zeros(3, np.float32), np.arange(3),
+                 np.float64(0.5)):
+        assert ad.Tensor(data).data.dtype == np.float32, data
+        assert ad.constant(data).data.dtype == np.float32, data
+    f64, f32 = ad.Tensor(np.ones(3)), ad.Tensor(np.ones(3, np.float32))
+    assert ad.add(f64, f32).data.dtype == np.float64
+    assert ad.mul(f32, f64).data.dtype == np.float64
+    assert ad.add(f32, 1.0).data.dtype == np.float32
+    assert ad.matmul(ad.Tensor(np.ones((2, 3))), ad.Tensor(np.ones((3, 2), np.float32))
+                     ).data.dtype == np.float64
+
+
 def test_erf32_accuracy_odd_and_finite():
     from scipy.special import erf
 
@@ -158,7 +173,7 @@ def test_swapaxes_grad_4d():
         return ad.rsum(ad.mul(ad.mul(s, s), ad.constant(probe)))
 
     assert ad.swapaxes(ad.Tensor(x0), -3, -2).data.tobytes() == \
-        np.ascontiguousarray(np.swapaxes(x0.astype(np.float32), 1, 2)).tobytes()
+        np.ascontiguousarray(np.swapaxes(x0, 1, 2)).tobytes()
     report = grad_check(fn, {"x": x0}, tol=1e-6)
     assert report.passed, report.max_rel_err
 

@@ -35,7 +35,9 @@ seeds = 7,8
 
 
 def write_cfg(tmp_path, text=SMALL_CFG, name="exp.cfg", **extra):
-    lines = [text] + [f"{k} = {v}" for k, v in extra.items()]
+    # an override replaces the key's line: a key given twice is an error
+    lines = [line for line in text.splitlines() if line.split(" = ")[0] not in extra]
+    lines += [f"{k} = {v}" for k, v in extra.items()]
     path = tmp_path / name
     path.write_text("\n".join(lines))
     return str(path)
@@ -92,6 +94,12 @@ def test_build_experiment_defaults_and_overrides():
     ("exp.cfg", "tau = NaN"),
     ("exp.json", '{"tau": -Infinity}'),
     ("exp.cfg", "seeds = -1"),
+    ("exp.cfg", "lr1 = NaN"),
+    ("exp.cfg", "noise = NaN"),
+    ("exp.cfg", "separation = Infinity"),
+    ("exp.cfg", "lambda2 = Infinity"),
+    ("exp.json", '{"lr2": -Infinity}'),
+    pytest.param("exp.cfg", "lambda1 = 1" + "0" * 400, id="exp.cfg-lambda1 = 10**400"),
 ])
 def test_build_experiment_type_checks_name_the_key(tmp_path, name, text):
     path = tmp_path / name
@@ -99,6 +107,30 @@ def test_build_experiment_type_checks_name_the_key(tmp_path, name, text):
     key = re.search(r"\w+", text).group()
     with pytest.raises(cli.ConfigError, match=f"'{key}'"):
         cli.build_experiment(cli.parse_config(str(path)))
+
+
+@pytest.mark.parametrize("key, value", [("lr1", "NaN"), ("noise", "NaN"),
+                                        ("separation", "Infinity"),
+                                        ("lambda2", "Infinity")])
+def test_run_non_finite_float_names_the_key(tmp_path, capsys, key, value):
+    path = write_cfg(tmp_path, **{key: value})
+    assert cli.main(["run", path, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"'{key}'" in err
+
+
+def test_flat_config_key_given_twice_names_key_and_lines(tmp_path):
+    path = tmp_path / "exp.cfg"
+    path.write_text("E1 = 1\n# a comment\nE2 = 2\nE1 = 3\n")
+    with pytest.raises(cli.ConfigError, match=r"'E1' is given twice, on lines 1 and 4"):
+        cli.parse_config(str(path))
+
+
+def test_json_config_key_given_twice_names_key(tmp_path):
+    path = tmp_path / "exp.json"
+    path.write_text('{"E1": 1, "E2": 2, "E1": 2}')
+    with pytest.raises(cli.ConfigError, match="'E1' is given twice"):
+        cli.parse_config(str(path))
 
 
 def test_float_keys_accept_ints():

@@ -23,6 +23,15 @@ def test_build_stack_deterministic():
     assert enc.stack_hash(a) != enc.stack_hash(c)
 
 
+def test_blocks_hold_only_their_weight_matrices():
+    stack = enc.build_stack(small_config(), 11)
+    blocks = stack.text_blocks + stack.vis_blocks + stack.main_blocks
+    assert len(blocks) == 2 * enc.CLIP_DEPTH + stack.config.L
+    for blk in blocks:
+        assert set(blk) == {"wq", "wk", "wv", "wo", "w1", "w2"}
+        assert all(w.ndim == 2 and w.dtype == np.float32 for w in blk.values())
+
+
 def test_encoder_output_separation():
     cfg = small_config()
     stack = enc.build_stack(cfg, 3)
@@ -130,7 +139,7 @@ def _reference_forward(stack, tokens, residuals=None, prefix=None):
     h = tokens.astype(np.float64)
     for l, blk in enumerate(stack.main_blocks):
         x = ln(h)
-        q, k, v = x @ blk["wq"] + blk["bq"], x @ blk["wk"] + blk["bk"], x @ blk["wv"] + blk["bv"]
+        q, k, v = x @ blk["wq"], x @ blk["wk"], x @ blk["wv"]
         if prefix is not None:
             n = prefix.shape[1] // 2
             k = np.concatenate([prefix[l, :n], k])
@@ -143,14 +152,14 @@ def _reference_forward(stack, tokens, residuals=None, prefix=None):
             s = np.exp(s - s.max(-1, keepdims=True))
             s /= s.sum(-1, keepdims=True)
             parts.append(s @ v[:, sl])
-        msa = np.concatenate(parts, -1) @ blk["wo"] + blk["bo"]
+        msa = np.concatenate(parts, -1) @ blk["wo"]
         e = h + msa
         if residuals is not None:
             e = e + residuals[l]
         y = ln(e)
-        a = y @ blk["w1"] + blk["b1"]
+        a = y @ blk["w1"]
         a = a * 0.5 * (1 + erf(a / np.sqrt(2)))
-        h = e + a @ blk["w2"] + blk["b2"]
+        h = e + a @ blk["w2"]
     return h[0]
 
 

@@ -197,8 +197,8 @@ def test_prefix_zero_value_prompts_contribute_nothing():
     blk = stack.main_blocks[0]
     ln = lambda t: (t - t.mean(-1, keepdims=True)) / np.sqrt(t.var(-1) [..., None] + 1e-5)
     h = ln(tokens)
-    q, k = h @ blk["wq"] + blk["bq"], h @ blk["wk"] + blk["bk"]
-    v = h @ blk["wv"] + blk["bv"]
+    q, k = h @ blk["wq"], h @ blk["wk"]
+    v = h @ blk["wv"]
     scores = np.exp(q @ k.T / np.sqrt(cfg.d_prime))
     n_tok = 3
     zexp = np.exp(np.zeros((cfg.seq_len, n_tok)))

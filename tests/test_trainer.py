@@ -294,6 +294,20 @@ def test_query_set_is_bound_to_one_stack():
         tr.predict_batch(twin, qs)
 
 
+@pytest.mark.parametrize("variant", (None,) + tr.VARIANTS)
+def test_training_and_prediction_build_float32_tensors(monkeypatch, variant):
+    built = []
+    make = ad._make
+    monkeypatch.setattr(ad, "_make", lambda out, *rest: built.append(
+        (rest[-1], out.dtype)) or make(out, *rest))
+    stream = small_stream(num_tasks=2)
+    state = run_stream(stream, variant=variant, hp=replace(HP, E1=1, E2=1))
+    tr.predict_batch(state, stream.tasks[0].test_x)
+    assert built
+    assert {dtype for _, dtype in built} == {np.dtype(np.float32)}, \
+        sorted({op for op, dtype in built if dtype != np.float32})
+
+
 def test_unimodal_forces_single_component():
     stream = small_stream(num_tasks=2)
     state = run_stream(stream, variant="unimodal")
@@ -427,6 +441,24 @@ def test_older_format_checkpoint_predicts_the_same(tmp_path, trained_checkpoint,
     older = tr.load_checkpoint(tmp_path)
     assert older.current_task == 1  # not the stale current_task
     got = tr.predict_batch(older, x)
+    assert got[0] == want[0] and got[2] == want[2]
+    assert got[1].tobytes() == want[1].tobytes()
+
+
+@pytest.mark.parametrize("variant", [None, "prefix_tuning"])
+def test_float64_codebook_predicts_the_bytes_of_float32(tmp_path, trained_checkpoint,
+                                                        variant):
+    stream, path = trained_checkpoint(variant)
+    x = np.concatenate([task.test_x for task in stream.tasks])
+    want = tr.predict_batch(tr.load_checkpoint(path), x)
+    shutil.copytree(path, tmp_path, dirs_exist_ok=True)
+    arrays = featureio.read_archive(tmp_path / "codebooks.bin", pr.CODEBOOK_MAGIC)
+    featureio.write_archive(tmp_path / "codebooks.bin", pr.CODEBOOK_MAGIC,
+                            {k: v.astype(np.float64) if v.dtype == np.float32 else v
+                             for k, v in arrays.items()})
+    state = tr.load_checkpoint(tmp_path)
+    assert all(q.dtype == np.float32 for q in state.books.Q.values())
+    got = tr.predict_batch(state, x)
     assert got[0] == want[0] and got[2] == want[2]
     assert got[1].tobytes() == want[1].tobytes()
 
