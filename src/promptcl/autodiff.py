@@ -258,33 +258,42 @@ def _gelu_forward(x, with_slope):
 _LN_EPS = 1e-5
 
 
+# The kernels below reduce through the ufuncs themselves: ndarray.mean, .sum
+# and .max reach the same np.add / np.maximum reductions through Python
+# wrappers, and a mean's division by the count rounds to the same bits
+
+
+def _mean_last(x):
+    return np.add.reduce(x, axis=-1, keepdims=True) / x.shape[-1]
+
+
 def _layer_norm_forward(x):
     """(y, std) of a scale-1 shift-0 layer norm over the last axis; float64
     statistics, results in x's dtype."""
     xc = x.astype(np.float64)
-    xc -= xc.mean(axis=-1, keepdims=True)
-    root = np.sqrt(np.square(xc).mean(axis=-1, keepdims=True) + _LN_EPS)
+    xc -= _mean_last(xc)
+    root = np.sqrt(_mean_last(np.square(xc)) + _LN_EPS)
     xc /= root
     return xc.astype(x.dtype), root.astype(x.dtype)
 
 
 def _layer_norm_backward(g, y, std):
-    gy = (g * y).mean(axis=-1, keepdims=True)
-    out = g - g.mean(axis=-1, keepdims=True)
+    gy = _mean_last(g * y)
+    out = g - _mean_last(g)
     out -= y * gy
     out /= std
     return out
 
 
 def _softmax_forward(x):
-    e = x - x.max(axis=-1, keepdims=True)
+    e = x - np.maximum.reduce(x, axis=-1, keepdims=True)
     np.exp(e, out=e)
-    e /= e.sum(axis=-1, keepdims=True)
+    e /= np.add.reduce(e, axis=-1, keepdims=True)
     return e
 
 
 def _softmax_backward(g, s):
-    out = g - (g * s).sum(axis=-1, keepdims=True)
+    out = g - np.add.reduce(g * s, axis=-1, keepdims=True)
     out *= s
     return out
 

@@ -162,8 +162,11 @@ def sample(mog: MoG, n: int, rng: Rng) -> np.ndarray:
     if n < 1:
         raise FitError("n must be >= 1")
     comps = rng.choice(mog.m, size=n, p=mog.weights / mog.weights.sum())
-    eps = rng.normal((n, mog.dim), dtype=np.float64)
-    return (mog.means[comps] + np.sqrt(mog.covs)[comps] * eps).astype(np.float32)
+    # scaled and shifted in place: the bits of means + sqrt(covs) * eps
+    x = rng.normal((n, mog.dim), dtype=np.float64)
+    x *= np.sqrt(mog.covs)[comps]
+    x += mog.means[comps]
+    return x.astype(np.float32)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ training task t (lower-triangular). Final average accuracy is the mean of
 the last row; final forgetting is the mean, over non-final tasks, of the
 best earlier accuracy minus the final one, with each drop clamped at 0 so a
 task that improved counts as forgetting nothing. The standard definition
-(Chaudhry et al., 2018) does not clamp.
+(Chaudhry et al., 2018) does not clamp; ``raw_forgetting`` reports it, and
+the summary holds both.
 """
 
 import csv
@@ -47,18 +48,28 @@ def faa(matrix: AccuracyMatrix) -> float:
     return float(last.mean())
 
 
-def final_forgetting(matrix: AccuracyMatrix) -> float:
-    """Mean over tasks j < T of max_{t<T} a[t][j] - a[T][j]."""
+def _drops(matrix: AccuracyMatrix) -> list:
+    """Per task j < T: max_{t<T} a[t][j] - a[T][j], unclamped."""
     T = matrix.num_tasks
     if T == 1:
         raise MetricError("forgetting is undefined for a single task")
     tri = matrix.a[np.tril_indices(T)]
     if np.isnan(tri).any():
         raise MetricError("accuracy matrix is incomplete")
-    # drops are clamped at 0 so improving tasks don't report negative forgetting
-    drops = [max(0.0, matrix.a[j:T - 1, j].max() - matrix.a[T - 1, j])
-             for j in range(T - 1)]
-    return float(np.mean(drops))
+    return [matrix.a[j:T - 1, j].max() - matrix.a[T - 1, j] for j in range(T - 1)]
+
+
+def final_forgetting(matrix: AccuracyMatrix) -> float:
+    """Mean over tasks j < T of max(0, max_{t<T} a[t][j] - a[T][j]): each
+    drop is clamped at 0, so a task that improved counts as forgetting
+    nothing rather than offsetting another task's loss."""
+    return float(np.mean([max(0.0, d) for d in _drops(matrix)]))
+
+
+def raw_forgetting(matrix: AccuracyMatrix) -> float:
+    """Mean over tasks j < T of max_{t<T} a[t][j] - a[T][j], unclamped
+    (Chaudhry et al., 2018): negative when tasks improved on balance."""
+    return float(np.mean(_drops(matrix)))
 
 
 def retrieval_confusion(owner_of, selections) -> np.ndarray:
@@ -106,7 +117,8 @@ def matrix_rows(matrix: AccuracyMatrix):
 
 def summarize(per_seed) -> dict:
     """Per-seed FAA and, where a matrix spans more than one task, final
-    forgetting, each with its mean and std across seeds.
+    forgetting both clamped (``ff_*``) and unclamped (``ff_raw_*``), each
+    with its mean and std across seeds.
 
     ``per_seed``: dict seed -> AccuracyMatrix.
     """
@@ -118,10 +130,11 @@ def summarize(per_seed) -> dict:
                "faa_std": float(np.std(faas))}
     multi = [s for s in seeds if per_seed[s].num_tasks > 1]
     if multi:
-        ffs = [final_forgetting(per_seed[s]) for s in multi]
-        summary["ff_per_seed"] = {str(s): v for s, v in zip(multi, ffs)}
-        summary["ff_mean"] = float(np.mean(ffs))
-        summary["ff_std"] = float(np.std(ffs))
+        for prefix, measure in (("ff", final_forgetting), ("ff_raw", raw_forgetting)):
+            ffs = [measure(per_seed[s]) for s in multi]
+            summary[f"{prefix}_per_seed"] = {str(s): v for s, v in zip(multi, ffs)}
+            summary[f"{prefix}_mean"] = float(np.mean(ffs))
+            summary[f"{prefix}_std"] = float(np.std(ffs))
     return summary
 
 

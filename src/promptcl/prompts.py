@@ -102,27 +102,43 @@ class Selection:
 def select(keys: dict, z, A: dict) -> Selection:
     """Pick, per query row, the class whose prototype key best matches it.
 
-    ``keys`` and ``A`` map class -> (d,). The query is reweighted per class
-    (z * A_c) and re-normalized so the similarity stays a bounded cosine; a
-    zero-norm query maps to similarity 0. Exact ties go to the lowest class
-    index. Works over any leading axes of ``z``: a (d,) query gives 0-d results.
+    ``keys`` and ``A`` map class -> (d,); ``similarities`` scores every
+    class and ``pick`` chooses. Works over any leading axes of ``z``: a (d,)
+    query gives 0-d results.
     """
     ids = sorted(keys)
     if not ids:
         raise CodebookError("select: empty key set")
+    return pick(np.asarray(ids), similarities(z, keys, A, ids))
+
+
+def similarities(z, keys: dict, A: dict, cids) -> np.ndarray:
+    """(..., len(cids)) float32 similarities of queries ``z`` (..., d) to the
+    keys of classes ``cids``. The query is reweighted per class (z * A_c)
+    and re-normalized, so the similarity stays a bounded cosine; a zero-norm
+    query maps to similarity 0.
+
+    Every entry is reduced on its own, so a class's column does not depend
+    on which other classes are scored with it, nor a row on the batch.
+    """
     z = np.asarray(z, dtype=np.float32)
-    K = np.stack([keys[c] for c in ids])
-    q = z[..., None, :] * np.stack([A[c] for c in ids])  # (..., C, d)
+    q = z[..., None, :] * np.array([A[c] for c in cids])  # (..., C, d)
     # vecdot reduces each row like the 1-D BLAS dot, so rows match
     # single-query calls bit for bit
-    n = np.sqrt(np.vecdot(q, q))[..., None]
+    n = np.sqrt(np.vecdot(q, q))
     ok = n >= 1e-8
-    q = np.where(ok, q / np.where(ok, n, 1.0), 0.0)
-    sims = np.vecdot(q, K).astype(np.float32)
+    q /= np.where(ok, n, 1.0)[..., None]
+    q[~ok] = 0.0
+    return np.vecdot(q, np.array([keys[c] for c in cids])).astype(np.float32, copy=False)
+
+
+def pick(ids: np.ndarray, sims: np.ndarray) -> Selection:
+    """The best of the classes ``ids`` (ascending) per row of ``sims``
+    (..., C). Exact ties go to the lowest class index."""
     best = np.argmax(sims, axis=-1)  # argmax returns the first (lowest-id) maximum
-    return Selection(class_id=np.asarray(ids)[best],
-                     sim=np.take_along_axis(sims, best[..., None], axis=-1)[..., 0],
-                     sims=sims)
+    rows = sims.reshape(-1, sims.shape[-1])
+    sim = rows[np.arange(len(rows)), best.reshape(-1)].reshape(best.shape)
+    return Selection(class_id=ids[best], sim=sim, sims=sims)
 
 
 def weighted_similarity(z, A, w) -> ad.Tensor:

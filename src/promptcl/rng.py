@@ -25,7 +25,10 @@ class Rng:
         return Rng(_mix(self.seed, tag))
 
     def normal(self, shape, std=1.0, dtype=np.float32):
-        return (self._gen.standard_normal(shape) * std).astype(dtype)
+        x = self._gen.standard_normal(shape)
+        if std != 1.0:
+            x *= std
+        return x.astype(dtype, copy=False)
 
     def uniform(self, shape, low=0.0, high=1.0, dtype=np.float32):
         return self._gen.uniform(low, high, shape).astype(dtype)

@@ -370,10 +370,14 @@ class QuerySet:
     vision-encoded once.
 
     The set binds to the stack of the first state that predicts on it. Its
-    query vectors ``z`` never change after that; a row's conditioned CLS
-    features are reused while the row selects the same class with a
-    bitwise-equal similarity and that class's task is finished, whose prompts
-    no later training touches.
+    query vectors ``z`` never change after that. Two results are kept; both
+    pay off because no later training touches a finished task's prompts and
+    query weights, and ``compute_keys`` re-derives the same key bits:
+    - each finished class's similarity column, reused while the class's key
+      and query weights keep the bits the column was computed from;
+    - each row's conditioned CLS features, reused while the row selects the
+      same class with a bitwise-equal similarity and that class's task is
+      finished.
     """
 
     def __init__(self, x):
@@ -384,6 +388,8 @@ class QuerySet:
         self.feats = None   # (n, d') conditioned CLS features
         self.cls = None     # per row: the class the features were conditioned on
         self.sim = None     # per row: the similarity they were conditioned on
+        self.sims = None    # (n, C) similarities of the last selection
+        self.kept = {}      # finished class -> (its column in sims, key and A bytes)
 
     def bind(self, state: TrainerState) -> None:
         """Encode the queries with ``state``'s stack on first use."""
@@ -398,6 +404,33 @@ class QuerySet:
         self.z = _encode_rows(lambda s: vision_encode(state.stack, raw[s]), len(raw))
         self.raw, self.stack = raw, state.stack
 
+    def select(self, state: TrainerState) -> pr.Selection:
+        """``prompts.select`` over the queries, computing the similarity
+        columns of only the classes without a kept one: a class new to the
+        set, one whose task is unfinished, or one whose key or query weights
+        changed bits since its column was computed."""
+        books = state.books
+        ids = sorted(books.keys)
+        if not ids:
+            raise pr.CodebookError("select: empty key set")
+        # src: each class's column in the kept sims, or in the new ones after them
+        width = 0 if self.sims is None else self.sims.shape[1]
+        kept, src, new = {}, [], []
+        for i, c in enumerate(ids):
+            bits = books.keys[c].tobytes() + books.A[c].tobytes()
+            col, was = self.kept.get(c, (None, None))
+            if was != bits:
+                col = width + len(new)
+                new.append(c)
+            src.append(col)
+            if books.task_of[c] <= state.current_task:
+                kept[c] = (i, bits)
+        sims = pr.similarities(self.z, books.keys, books.A, new) if new else None
+        if len(new) < len(ids):
+            sims = (self.sims if sims is None else np.concatenate((self.sims, sims), axis=1))[:, src]
+        self.sims, self.kept = sims, kept
+        return pr.pick(np.asarray(ids), sims)
+
     def features(self, state: TrainerState, sel: pr.Selection) -> np.ndarray:
         """The CLS features conditioned on ``sel``, recomputing in chunks only
         the rows whose conditioning may differ from the kept one."""
@@ -406,11 +439,13 @@ class QuerySet:
             self.feats = np.empty((n, state.stack.config.d_prime), np.float32)
             stale = np.arange(n)
         else:
+            stale = ((sel.class_id != self.cls)
+                     | (sel.sim.view(np.int32) != self.sim.view(np.int32)))
             # a class of an unfinished task may still be trained
             live = [c for c, t in state.books.task_of.items() if t > state.current_task]
-            stale = np.flatnonzero((sel.class_id != self.cls)
-                                   | (sel.sim.view(np.int32) != self.sim.view(np.int32))
-                                   | np.isin(sel.class_id, live))
+            if live:
+                stale |= np.isin(sel.class_id, live)
+            stale = np.flatnonzero(stale)
         if len(stale):
             tokens, sub = embed_tokens(state.stack, self.raw[stale]), sel[stale]
             self.feats[stale] = _encode_rows(
@@ -431,23 +466,17 @@ def predict_batch(state: TrainerState, x):
     qs = x if isinstance(x, QuerySet) else QuerySet(x)
     qs.bind(state)
     # the encoders run in chunks; selection and the heads see the whole batch
-    sel = _select_batch(state, qs.z)
-    chosen = sel.class_id.tolist()
+    sel = qs.select(state)
     if state.variant == "first_level_only":
         # classify straight from the key posteriors
-        ids = sorted(state.books.keys)
         logits = sel.sims / state.stack.config.tau
-        preds = [ids[int(i)] for i in np.argmax(logits, axis=1)]
-        return preds, logits, chosen
-    feats = qs.features(state, sel)
-    cols = []
-    for t in state.heads.task_ids():
-        w, b = state.heads.heads[t]
-        cols.append(feats @ w + b)
-    logits = np.concatenate(cols, axis=1)
-    all_cids = state.heads.all_classes()
-    preds = [all_cids[int(i)] for i in np.argmax(logits, axis=1)]
-    return preds, logits, chosen
+        order = sorted(state.books.keys)
+    else:
+        feats = qs.features(state, sel)
+        logits = np.concatenate([feats @ w + b for w, b in
+                                 (state.heads.heads[t] for t in state.heads.task_ids())], axis=1)
+        order = state.heads.all_classes()
+    return np.take(order, np.argmax(logits, axis=1)).tolist(), logits, sel.class_id.tolist()
 
 
 def evaluate(state: TrainerState, task: Task) -> float:

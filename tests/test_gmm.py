@@ -132,6 +132,32 @@ def test_sample_bytes_match_per_row_formula(m, d, n):
     assert got.tobytes() == np.array(rows).astype(np.float32).tobytes()
 
 
+@pytest.mark.parametrize("seed", [0, 1, 17])
+def test_sample_bytes_match_out_of_place_formula(seed):
+    # sample scales and shifts its float64 draws in place
+    rng = Rng(seed)
+    m, d, n = 3, 16, 200
+    w = rng.uniform((m,), 0.1, 1.0, dtype=np.float64)
+    mog = gmm.MoG(weights=w / w.sum(), means=rng.normal((m, d), std=3.0, dtype=np.float64),
+                  covs=rng.uniform((m, d), 0.01, 2.0, dtype=np.float64))
+    got = gmm.sample(mog, n, Rng(seed + 1))
+    draws = Rng(seed + 1)
+    comps = draws.choice(m, size=n, p=mog.weights / mog.weights.sum())
+    eps = draws.normal((n, d), dtype=np.float64)
+    want = mog.means[comps] + np.sqrt(mog.covs)[comps] * eps
+    assert got.tobytes() == want.astype(np.float32).tobytes()
+
+
+@pytest.mark.parametrize("std", [1.0, 1, 0.02, 2.5])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_normal_bytes_match_scaled_draws(std, dtype):
+    # Rng.normal skips a unit scale and a same-dtype cast
+    got = Rng(3).normal((50, 7), std=std, dtype=dtype)
+    draws = np.random.Generator(np.random.Philox(3)).standard_normal((50, 7))
+    assert got.dtype == dtype
+    assert got.tobytes() == (draws * std).astype(dtype).tobytes()
+
+
 def test_bank_round_trip(tmp_path):
     rng = Rng(12)
     bank = {c: gmm.fit_em(rng.normal((30, 4)).astype(np.float64), gmm.EMConfig(m=2, seed=c))

@@ -109,3 +109,33 @@ def test_report_identical_seeds_zero_std(tmp_path):
     mt.report(tmp_path, {1: m, 2: full_matrix([[0.5]])})
     with open(tmp_path / "summary.json") as f:
         assert json.load(f)["faa_std"] == 0.0
+
+
+def test_raw_forgetting_goes_negative_where_a_task_improves():
+    # task 0 improves 0.5 -> 0.8: clamped forgetting is 0, the standard
+    # (unclamped) definition reports the gain as -0.3
+    m = full_matrix([[0.5, 0.0], [0.8, 0.9]])
+    assert mt.final_forgetting(m) == 0.0
+    assert abs(mt.raw_forgetting(m) - (-0.3)) < 1e-15
+    # one task forgets 0.4, another improves 0.2: the clamp drops the gain
+    m = full_matrix([[0.9, 0, 0], [0.9, 0.4, 0], [0.5, 0.6, 1.0]])
+    assert abs(mt.final_forgetting(m) - 0.2) < 1e-15
+    assert abs(mt.raw_forgetting(m) - 0.1) < 1e-15
+    with pytest.raises(mt.MetricError):
+        mt.raw_forgetting(full_matrix([[1.0]]))
+
+
+def test_summary_reports_forgetting_clamped_and_raw(tmp_path):
+    improves = full_matrix([[0.5, 0.0], [0.8, 0.9]])
+    forgets = full_matrix([[0.9, 0.0], [0.5, 0.8]])
+    mt.report(tmp_path, {1: improves, 2: forgets})
+    with open(tmp_path / "summary.json") as f:
+        summary = json.load(f)
+    assert summary["ff_per_seed"] == {"1": 0.0, "2": mt.final_forgetting(forgets)}
+    assert summary["ff_raw_per_seed"] == {"1": mt.raw_forgetting(improves),
+                                          "2": mt.raw_forgetting(forgets)}
+    assert summary["ff_raw_per_seed"]["1"] < 0.0
+    raw = [mt.raw_forgetting(improves), mt.raw_forgetting(forgets)]
+    assert summary["ff_raw_mean"] == float(np.mean(raw))
+    assert summary["ff_raw_std"] == float(np.std(raw))
+    assert "ff_raw_mean" not in mt.summarize({1: full_matrix([[0.5]])})

@@ -7,8 +7,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from test_acceptance import TINY_CONFIG
 
 from promptcl import autodiff as ad
+from promptcl import cli
 from promptcl import featureio, gmm
 from promptcl import losses as ls
 from promptcl import prompts as pr
@@ -283,6 +285,77 @@ def test_query_set_recomputes_rows_that_select_another_class():
     assert (np.asarray(again[2])[moved] == -1).all()
     assert _same_prediction(again, tr.predict_batch(state, qs.x))
     assert again[1][moved].tobytes() != first[1][moved].tobytes()
+
+
+def _tiny_stream(tmp_path, num_tasks):
+    """The acceptance TINY_CONFIG experiment with ``num_tasks`` tasks: its
+    config and the first seed's permuted stream."""
+    path = tmp_path / "tiny.cfg"
+    path.write_text(TINY_CONFIG.replace("num_tasks = 2", f"num_tasks = {num_tasks}"))
+    config = cli.build_experiment(cli.parse_config(path))
+    return config, sc.permute_classes(sc.generate_scenario(config.scenario), config.seeds[0])
+
+
+def _recording(monkeypatch):
+    """Record each QuerySet selection and the number of classes each
+    ``prompts.similarities`` call scores."""
+    sels, scored = [], []
+    real_select, real_sims = tr.QuerySet.select, pr.similarities
+    monkeypatch.setattr(tr.QuerySet, "select",
+                        lambda self, state: sels.append(real_select(self, state)) or sels[-1])
+    monkeypatch.setattr(pr, "similarities", lambda z, keys, A, cids:
+                        scored.append(len(cids)) or real_sims(z, keys, A, cids))
+    return sels, scored
+
+
+@pytest.mark.parametrize("variant", [None, "first_level_only", "no_first_level",
+                                     "prefix_tuning"])
+def test_query_set_scores_only_new_classes(tmp_path, monkeypatch, variant):
+    # each test set kept as one QuerySet across tasks, as run_experiment does
+    config, stream = _tiny_stream(tmp_path, 3)
+    state = tr.new_state(config.encoder, seed=config.seeds[0], variant=variant)
+    sets = [tr.QuerySet(t.test_x) for t in stream.tasks]
+    sels, scored = _recording(monkeypatch)
+    for task in stream.tasks:
+        tr.train_task(state, task, config.hp, stream.class_names)
+        books = state.books
+        for qs in sets[:task.task_id + 1]:
+            sels.clear()
+            scored.clear()
+            kept = tr.predict_batch(state, qs)
+            # a set seen after an earlier task scores only this task's classes
+            first = qs is sets[task.task_id]
+            assert scored == [len(books.keys) if first else len(task.class_ids)]
+            (sel,) = sels
+            want = pr.select(books.keys, qs.z, books.A)
+            assert sel.class_id.tobytes() == want.class_id.tobytes()
+            assert sel.sim.tobytes() == want.sim.tobytes()
+            assert sel.sims.tobytes() == want.sims.tobytes()
+            assert _same_prediction(kept, tr.predict_batch(state, qs.x))
+    if variant == "first_level_only":
+        # logits are the similarities over the temperature
+        assert kept[1].tobytes() == (want.sims / config.encoder.tau).tobytes()
+
+
+def test_query_set_never_keeps_a_class_of_an_unfinished_task(monkeypatch):
+    state, qs, _ = _predicted_set()
+    books = state.books
+    # a class of the next task, still in training, keyed to query 0
+    pr.extend_codebooks(books, [99], Rng(4), state.current_task + 1)
+    books.keys[99] = qs.z[0] / np.linalg.norm(qs.z[0])
+    sels, scored = _recording(monkeypatch)
+    assert tr.predict_batch(state, qs)[2][0] == 99
+    tr.predict_batch(state, qs)
+    assert scored == [1, 1]  # scored again though nothing changed
+    # training edits its query weights in place, between two predictions
+    books.A[99][::2] *= np.float32(3.0)
+    again = tr.predict_batch(state, qs)
+    assert scored == [1, 1, 1]
+    want = pr.select(books.keys, qs.z, books.A)
+    assert sels[-1].sims.tobytes() == want.sims.tobytes()
+    assert sels[-1].sim.tobytes() == want.sim.tobytes()
+    assert not np.array_equal(sels[-1].sims, sels[0].sims)
+    assert _same_prediction(again, tr.predict_batch(state, qs.x))
 
 
 def test_query_set_is_bound_to_one_stack():
