@@ -13,7 +13,7 @@ import json
 import os
 import sys
 import typing
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -403,7 +403,8 @@ def _cmd_ablate(args) -> int:
 
 def _cmd_diag(args) -> int:
     state = tr.load_checkpoint(args.checkpoint)
-    config = build_experiment(parse_config(args.stream))
+    # the stream is sized for the checkpoint's encoder, whatever the file says
+    config = build_experiment({**parse_config(args.stream), **asdict(state.stack.config)})
     # the checkpoint's class-to-task grouping, so query task i is trained task i
     stream = sc.regroup(sc.generate_scenario(config.scenario), state.books.groups())
     _, chosen = _predict_tasks(state, stream.tasks, [t.test_x for t in stream.tasks])

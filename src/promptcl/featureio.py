@@ -42,7 +42,8 @@ def write_feature_file(path, features, labels) -> None:
 
 
 def load_feature_file(path):
-    """Read a feature file back as (count x dim float32 array, label list)."""
+    """Read a feature file back as (count x dim float32 array, label list);
+    a malformed file or a non-finite feature raises FormatError naming it."""
     with open(path, "rb") as f:
         raw = f.read()
     if len(raw) < 20:
@@ -58,6 +59,8 @@ def load_feature_file(path):
     if len(raw) != need:
         raise FormatError(f"{path}: payload length {len(raw)} != expected {need}")
     features = np.frombuffer(raw, dtype="<f4", count=count * dim, offset=20).reshape(count, dim)
+    if not np.isfinite(features).all():
+        raise FormatError(f"{path}: features hold NaN or infinite values")
     labels = np.frombuffer(raw, dtype="<u4", count=count, offset=20 + 4 * count * dim)
     return features.copy(), [int(x) for x in labels]
 
@@ -143,8 +146,8 @@ _KINDS = {"f": "float", "i": "integer"}
 def archive_entry(arrays: dict, path, name: str, kind: str, shape=None) -> np.ndarray:
     """Entry ``name`` of the archive read from ``path``, checked for its dtype
     kind ("f" float or "i" integer) and, if given, its ``shape`` (None
-    matches any length). A missing or mismatched entry raises FormatError
-    naming the file and the entry."""
+    matches any length). A missing or mismatched entry, or a float entry
+    holding NaN or +-Inf, raises FormatError naming the file and the entry."""
     if name not in arrays:
         raise FormatError(f"{path}: missing entry {name!r}")
     arr = arrays[name]
@@ -154,4 +157,6 @@ def archive_entry(arrays: dict, path, name: str, kind: str, shape=None) -> np.nd
         want = "" if shape is None else f" of shape {tuple(shape)}"
         raise FormatError(f"{path}: entry {name!r} is {arr.dtype.name} of shape "
                           f"{arr.shape}, expected {_KINDS[kind]}{want}")
+    if kind == "f" and not np.isfinite(arr).all():
+        raise FormatError(f"{path}: entry {name!r} holds NaN or infinite values")
     return arr

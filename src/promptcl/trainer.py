@@ -121,13 +121,6 @@ def new_state(config: EncoderConfig, seed: int, variant=None,
                         seed=seed, variant=variant, feature_space=feature_space)
 
 
-def _raw_inputs(state: TrainerState, x) -> np.ndarray:
-    """Map stream samples to token grids (features are lifted first)."""
-    if state.feature_space:
-        return lift_features(state.stack, x)
-    return np.asarray(x, np.float32)
-
-
 def _register_names(state: TrainerState, class_ids, names: dict | None):
     for cid in class_ids:
         name = (names or {}).get(cid, f"class_{cid:03d}")
@@ -328,9 +321,10 @@ def train_task(state: TrainerState, task: Task, hp: Hyperparams,
     _register_names(state, task.class_ids, class_names)
     pr.extend_codebooks(state.books, task.class_ids, rng.child("init"), task.task_id)
 
-    raw = _raw_inputs(state, task.train_x)
-    z_train = _encode_rows(lambda s: vision_encode(state.stack, raw[s]), len(raw))
-    tokens = embed_tokens(state.stack, raw)
+    qs = QuerySet(task.train_x)
+    qs.bind(state)
+    z_train = qs.z
+    tokens = embed_tokens(state.stack, qs.raw)
 
     if state.variant == "no_first_level":
         # first-level prompts fixed at a hand-crafted context, never trained
@@ -349,11 +343,8 @@ def train_task(state: TrainerState, task: Task, hp: Hyperparams,
     if state.variant != "first_level_only":
         _stage2(state, task, hp, tokens, z_train, rng.child("stage2"))
         if state.variant != "no_replay":
-            sel = _select_batch(state, z_train)
-            cls_feats = _encode_rows(
-                lambda s: _conditioned_cls(state, tokens[s], sel[s]).data, len(tokens))
-            _fit_bank(state.bank2, cls_feats, task.train_y, task.class_ids,
-                      hp.M, rng, "mog2")
+            _fit_bank(state.bank2, qs.features(state, qs.select(state)), task.train_y,
+                      task.class_ids, hp.M, rng, "mog2")
             _stage2_replay(state, hp, rng.child("replay2"))
 
     state.current_task = task.task_id
@@ -367,17 +358,18 @@ def train_task(state: TrainerState, task: Task, hp: Hyperparams,
 class QuerySet:
     """A fixed batch of queries and the frozen-encoder work done on it, kept
     between predictions so a test set evaluated after every task is
-    vision-encoded once.
+    vision-encoded once. ``train_task`` encodes its inputs through a fresh
+    one, so there is one forward-only path.
 
-    The set binds to the stack of the first state that predicts on it. Its
-    query vectors ``z`` never change after that. Two results are kept; both
-    pay off because no later training touches a finished task's prompts and
-    query weights, and ``compute_keys`` re-derives the same key bits:
-    - each finished class's similarity column, reused while the class's key
-      and query weights keep the bits the column was computed from;
-    - each row's conditioned CLS features, reused while the row selects the
-      same class with a bitwise-equal similarity and that class's task is
-      finished.
+    The set binds to the stack of the first state that uses it. Its query
+    vectors ``z`` never change after that. One rule decides what is reused:
+    a class's similarity column is kept while its task is finished and its
+    key and query weights keep the bits the column was computed from;
+    ``select`` computes every other column. A row's conditioned CLS features
+    are kept while the row selects the same class and that class's column
+    was not computed in the last ``select``. This pays off because no later
+    training touches a finished task's prompts and query weights, and
+    ``compute_keys`` re-derives the same key bits.
     """
 
     def __init__(self, x):
@@ -387,9 +379,9 @@ class QuerySet:
         self.z = None       # (n, d) query vectors
         self.feats = None   # (n, d') conditioned CLS features
         self.cls = None     # per row: the class the features were conditioned on
-        self.sim = None     # per row: the similarity they were conditioned on
         self.sims = None    # (n, C) similarities of the last selection
         self.kept = {}      # finished class -> (its column in sims, key and A bytes)
+        self.fresh = []     # classes whose column the last selection computed
 
     def bind(self, state: TrainerState) -> None:
         """Encode the queries with ``state``'s stack on first use."""
@@ -397,12 +389,16 @@ class QuerySet:
             return
         if self.stack is not None:
             raise TrainerError("query set was encoded by another state's stack")
-        raw = _raw_inputs(state, self.x)
+        # stream samples as token grids; feature rows are lifted first
+        raw = (lift_features(state.stack, self.x) if state.feature_space
+               else np.asarray(self.x, np.float32))
         if raw.ndim != 3:
-            raise TrainerError(
-                f"predict_batch takes a batch of inputs, got shape {np.shape(self.x)}")
+            raise TrainerError(f"expected a batch of inputs, got shape {np.shape(self.x)}")
         self.z = _encode_rows(lambda s: vision_encode(state.stack, raw[s]), len(raw))
         self.raw, self.stack = raw, state.stack
+        # the first selection computes every column, so every row is computed then
+        self.feats = np.empty((len(raw), state.stack.config.d_prime), np.float32)
+        self.cls = np.full(len(raw), -1)
 
     def select(self, state: TrainerState) -> pr.Selection:
         """``prompts.select`` over the queries, computing the similarity
@@ -428,29 +424,22 @@ class QuerySet:
         sims = pr.similarities(self.z, books.keys, books.A, new) if new else None
         if len(new) < len(ids):
             sims = (self.sims if sims is None else np.concatenate((self.sims, sims), axis=1))[:, src]
-        self.sims, self.kept = sims, kept
+        self.sims, self.kept, self.fresh = sims, kept, new
         return pr.pick(np.asarray(ids), sims)
 
     def features(self, state: TrainerState, sel: pr.Selection) -> np.ndarray:
-        """The CLS features conditioned on ``sel``, recomputing in chunks only
-        the rows whose conditioning may differ from the kept one."""
-        n = len(self.raw)
-        if self.cls is None:
-            self.feats = np.empty((n, state.stack.config.d_prime), np.float32)
-            stale = np.arange(n)
-        else:
-            stale = ((sel.class_id != self.cls)
-                     | (sel.sim.view(np.int32) != self.sim.view(np.int32)))
-            # a class of an unfinished task may still be trained
-            live = [c for c, t in state.books.task_of.items() if t > state.current_task]
-            if live:
-                stale |= np.isin(sel.class_id, live)
-            stale = np.flatnonzero(stale)
+        """The CLS features conditioned on ``sel``, this set's last selection,
+        recomputing in chunks only the rows that select another class than
+        before or a class whose column that selection computed."""
+        stale = sel.class_id != self.cls
+        if self.fresh:  # a broadcast compare: np.isin costs several times more here
+            stale |= (sel.class_id[:, None] == self.fresh).any(axis=1)
+        stale = np.flatnonzero(stale)
         if len(stale):
             tokens, sub = embed_tokens(state.stack, self.raw[stale]), sel[stale]
             self.feats[stale] = _encode_rows(
                 lambda s: _conditioned_cls(state, tokens[s], sub[s]).data, len(stale))
-        self.cls, self.sim = sel.class_id, sel.sim
+        self.cls = sel.class_id
         return self.feats
 
 

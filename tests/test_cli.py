@@ -9,6 +9,7 @@ import pytest
 
 from promptcl import cli, featureio, gmm
 from promptcl import losses as ls
+from promptcl import prompts as pr
 from promptcl import trainer as tr
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
@@ -309,6 +310,48 @@ def test_diag_bad_inputs_print_error(tmp_path, capsys):
     assert cli.main(["diag", str(ckpt), cfg, "--out", str(tmp_path / "d")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "trainer.json: invalid JSON" in err
+
+
+def test_diag_takes_the_geometry_from_the_checkpoint(tmp_path, capsys):
+    # the stream file gives the scenario; its encoder keys (here: none, so
+    # the defaults) do not size the stream's inputs
+    cfg = write_cfg(tmp_path, E1=1, E2=1)
+    out = tmp_path / "run"
+    assert cli.main(["run", cfg, "--out", str(out), "--seed", "3", "--checkpoint"]) == 0
+    encoder_keys = {k for k, key in cli.KEYS.items() if key.section == "encoder"}
+    scenario_only = write_cfg(tmp_path, "\n".join(
+        line for line in SMALL_CFG.splitlines() if line.split(" = ")[0] not in encoder_keys),
+        name="scenario.cfg", E1=1, E2=1)
+    capsys.readouterr()
+    assert cli.main(["diag", str(out / "ckpt_seed3"), scenario_only,
+                     "--out", str(tmp_path / "d")]) == 0, capsys.readouterr().err
+    assert ((tmp_path / "d" / "confusion.csv").read_bytes()
+            == (out / "confusion_seed3.csv").read_bytes())
+
+
+def test_diag_non_finite_codebook_entry_names_file_and_entry(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, E1=1, E2=1)
+    out = tmp_path / "run"
+    assert cli.main(["run", cfg, "--out", str(out), "--seed", "3", "--checkpoint"]) == 0
+    books = out / "ckpt_seed3" / "codebooks.bin"
+    arrays = featureio.read_archive(books, pr.CODEBOOK_MAGIC)
+    arrays["Q0"][0, 0] = np.nan
+    featureio.write_archive(books, pr.CODEBOOK_MAGIC, arrays)
+    capsys.readouterr()
+    assert cli.main(["diag", str(out / "ckpt_seed3"), cfg, "--out", str(tmp_path / "d")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "codebooks.bin" in err and "'Q0'" in err
+
+
+def test_run_non_finite_feature_file_names_the_file(tmp_path, capsys):
+    feats = np.ones((8, 16), np.float32)
+    feats[5, 3] = np.nan
+    path = tmp_path / "feats.bin"
+    featureio.write_feature_file(path, feats, np.repeat(np.arange(4, dtype=np.uint32), 2))
+    cfg = write_cfg(tmp_path, kind="feature-file", feature_path=path)
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "feats.bin" in err and "NaN" in err
 
 
 def test_diag_membership_edits_print_error(tmp_path, capsys):

@@ -358,6 +358,42 @@ def test_query_set_never_keeps_a_class_of_an_unfinished_task(monkeypatch):
     assert _same_prediction(again, tr.predict_batch(state, qs.x))
 
 
+@pytest.mark.parametrize("variant", [None, "prefix_tuning", "no_conf_mod"])
+def test_bank2_fits_the_features_a_query_set_predicts_with(monkeypatch, variant):
+    # training's bank-2 features come from the one forward-only path
+    stream = small_stream(num_tasks=2)
+    state = tr.new_state(CFG, seed=1993, variant=variant)
+    fitted = []
+    real = tr._fit_bank
+    monkeypatch.setattr(tr, "_fit_bank", lambda bank, feats, *a: (
+        a[-1] == "mog2" and fitted.append(feats.copy())) or real(bank, feats, *a))
+    for task in stream.tasks:
+        tr.train_task(state, task, replace(HP, E1=2, E2=1), stream.class_names)
+        qs = tr.QuerySet(task.train_x)
+        qs.bind(state)
+        assert fitted[-1].tobytes() == qs.features(state, qs.select(state)).tobytes()
+    assert len(fitted) == len(stream.tasks)
+
+
+def test_query_set_recomputes_rows_of_a_class_whose_column_was_computed(monkeypatch):
+    # doubled query weights re-normalize to the same similarity bits, but the
+    # column is computed again, so the rows selecting the class are too
+    state, qs, first = _predicted_set()
+    c = first[2][0]
+    sims = qs.sims.copy()
+    sels, scored = _recording(monkeypatch)
+    recomputed = []
+    real = tr._conditioned_cls
+    monkeypatch.setattr(tr, "_conditioned_cls", lambda state, tokens, sel, *a:
+                        recomputed.append(len(tokens)) or real(state, tokens, sel, *a))
+    state.books.A[c] *= np.float32(2.0)
+    again = tr.predict_batch(state, qs)
+    assert scored == [1]
+    assert sels[-1].sims.tobytes() == sims.tobytes()
+    assert sum(recomputed) == first[2].count(c) > 0
+    assert _same_prediction(again, tr.predict_batch(state, qs.x))
+
+
 def test_query_set_is_bound_to_one_stack():
     from promptcl.encoders import build_stack
     state, qs, _ = _predicted_set()
