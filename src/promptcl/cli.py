@@ -43,10 +43,12 @@ def parse_config(path) -> dict:
     ConfigError naming it (and, in a flat file, both lines)."""
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
-    with open(path) as f:
-        raw = f.read()
-    stripped = raw.lstrip()
-    if stripped.startswith("{"):
+    try:
+        with open(path, encoding="utf-8-sig") as f:  # a leading BOM is dropped
+            raw = f.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from None
+    if raw.lstrip().startswith("{"):
         def unique(pairs):
             obj = {}
             for k, v in pairs:
@@ -419,6 +421,8 @@ def _cmd_diag(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
+    if args.graphs < 1:
+        raise ConfigError(f"--graphs must be >= 1, got {args.graphs}")
     worst, stage2 = gradcheck_suite(n_graphs=args.graphs, verbose=True)
     ok = worst < 1e-4 and stage2 < 1e-3
     print(f"composite graphs: max rel err {worst:.3g} (tol 1e-4)")

@@ -207,6 +207,8 @@ def lift_features(stack: FrozenStack, z) -> np.ndarray:
     """Deterministically lift d-dim feature rows to raw token grids."""
     cfg = stack.config
     z = np.asarray(z, dtype=np.float32)
+    if z.shape[-1] != cfg.d:
+        raise ad.ShapeError(f"lift_features: feature rows are {z.shape[-1]} wide, expected d = {cfg.d}")
     flat = z @ stack.lift
     return flat.reshape(z.shape[:-1] + (cfg.patches, cfg.patch_dim))
 

@@ -1,8 +1,7 @@
 """Per-class Mixture-of-Gaussians feature models: EM fitting and sampling.
 
 Covariances are diagonal. All EM statistics are accumulated in float64; fits
-are deterministic under a fixed sample order and seed. The log-sum-exp is
-numpy's own (``_logsumexp``), computed as scipy's is, so no scipy is loaded.
+are deterministic under a fixed sample order and seed.
 """
 from __future__ import annotations
 
@@ -63,21 +62,12 @@ def _component_log_density(mog: MoG, x: np.ndarray) -> np.ndarray:
 
 
 def _logsumexp(a, axis, keepdims):
-    """``scipy.special.logsumexp(a, axis, keepdims=keepdims)`` for real float
-    ``a``, operation for operation as scipy 1.17 computes it, so results agree
-    bit for bit: the max entries are counted and kept out of the shifted sum,
-    and a non-finite result falls back to log(sum(exp(a)))."""
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        fallback = np.log(np.sum(np.exp(a), axis=axis, keepdims=True))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        a_max = np.max(a, axis=axis, keepdims=True)
-        at_max = a == a_max
-        count = np.sum(at_max.astype(a.dtype), axis=axis, keepdims=True, dtype=a.dtype)
-        rest = np.exp(np.where(at_max, -np.inf, a) - a_max)
-        s = np.sum(rest, axis=axis, keepdims=True, dtype=a.dtype)
-        s = np.where(s == 0, s, s / count)
-        out = np.log1p(s) + np.log(count) + a_max
-    out = np.where(np.isfinite(out), out, fallback)
+    """log(sum(exp(a))) along ``axis``, shifted by the max where it is finite:
+    a row of all -inf gives -inf and a row holding +inf gives +inf."""
+    a_max = np.max(a, axis=axis, keepdims=True)
+    shift = np.where(np.isfinite(a_max), a_max, 0.0)
+    with np.errstate(divide="ignore", over="ignore"):
+        out = np.log(np.sum(np.exp(a - shift), axis=axis, keepdims=True)) + shift
     return out if keepdims else np.squeeze(out, axis=axis)
 
 

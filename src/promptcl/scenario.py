@@ -39,7 +39,7 @@ class ScenarioSpec:
             raise ScenarioError(f"unknown generator kind {self.kind!r}")
         if self.kind == "feature-file" and not self.feature_path:
             raise ScenarioError("feature-file kind needs feature_path")
-        for name in ("separation", "noise", "seed"):  # 0 is allowed for each
+        for name in ("separation", "noise", "seed", "train_per_class", "test_per_class"):
             if getattr(self, name) < 0:
                 key = "scenario_seed" if name == "seed" else name  # the config key
                 raise ScenarioError(f"{key} must be >= 0, got {getattr(self, name)}")
@@ -47,6 +47,8 @@ class ScenarioSpec:
             for name in ("train_per_class", "test_per_class"):
                 if getattr(self, name) < 1:
                     raise ScenarioError(f"{name} must be >= 1 for kind {self.kind!r}")
+        elif self.train_per_class + self.test_per_class == 0:
+            raise ScenarioError("train_per_class and test_per_class cannot both be 0")
 
 
 @dataclass
@@ -129,7 +131,7 @@ def _feature_stream(spec: ScenarioSpec) -> TaskStream:
             raise ScenarioError(f"class {cid} has fewer than 2 samples")
         order = rng.child(("split", cid)).permutation(len(rows))
         n_test = max(1, int(round(len(rows) * spec.test_per_class /
-                                  max(spec.train_per_class + spec.test_per_class, 1))))
+                                  (spec.train_per_class + spec.test_per_class))))
         n_test = min(n_test, len(rows) - 1)
         by_class[cid] = (rows[order[n_test:]], rows[order[:n_test]])
     per_task = spec.classes_per_task

@@ -481,10 +481,12 @@ def save_checkpoint(state: TrainerState, out_dir) -> None:
     os.makedirs(out_dir, exist_ok=True)
     pr.save_codebooks(os.path.join(out_dir, "codebooks.bin"), state.books)
     ls.save_heads(os.path.join(out_dir, "heads.bin"), state.heads)
-    if state.bank1:
-        gmm.save_bank(os.path.join(out_dir, "bank1.bin"), state.bank1)
-    if state.bank2:
-        gmm.save_bank(os.path.join(out_dir, "bank2.bin"), state.bank2)
+    for name, bank in (("bank1.bin", state.bank1), ("bank2.bin", state.bank2)):
+        path = os.path.join(out_dir, name)
+        if bank:
+            gmm.save_bank(path, bank)
+        elif os.path.exists(path):
+            os.remove(path)  # an older run's bank: load_checkpoint would read it
     meta = {
         "seed": state.seed,
         "variant": state.variant,

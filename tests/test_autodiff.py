@@ -102,6 +102,15 @@ def test_erf32_accuracy_odd_and_finite():
     assert np.array_equal(ad.erf32(-grid), -got)
 
 
+def test_float64_gelu_matches_scipy_erf():
+    from scipy.special import erf
+
+    x = np.concatenate([np.linspace(-8, 8, 20_001), [0.0, -0.0, 1e-300, 40.0, -40.0]])
+    got, slope = ad._gelu_forward(x, with_slope=True)
+    assert got.dtype == slope.dtype == np.float64
+    np.testing.assert_allclose(got, x * 0.5 * (1 + erf(x / np.sqrt(2))), rtol=0, atol=1e-15)
+
+
 @pytest.mark.parametrize("cls_only", [False, True])
 @pytest.mark.parametrize("cond", ["residual", "prefix"])
 def test_frozen_block_grads_match_finite_differences(cls_only, cond):

@@ -193,6 +193,34 @@ def test_gradcheck_subcommand_passes(capsys):
     assert "PASS" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("graphs", ["0", "-5"])
+def test_gradcheck_without_graphs_prints_error(capsys, graphs):
+    # range(graphs) is empty: a PASS would have checked nothing
+    assert cli.main(["gradcheck", "--graphs", graphs]) == 1
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ") and "--graphs" in err and "PASS" not in out
+
+
+@pytest.mark.parametrize("name", ["exp.cfg", "exp.json"])
+def test_config_with_utf8_bom_parses(tmp_path, name):
+    path = tmp_path / name
+    path.write_bytes(b"\xef\xbb\xbf" + (b"E1 = 1" if name == "exp.cfg" else b'{"E1": 1}'))
+    assert cli.parse_config(str(path)) == {"E1": 1}
+
+
+@pytest.mark.parametrize("name, text", [("exp.cfg", b"E1 = 1\n\xff\n"),
+                                        ("exp.json", b'{"E1": "\xff"}')],
+                         ids=["flat", "json"])
+def test_config_not_utf8_names_the_file(tmp_path, capsys, name, text):
+    path = tmp_path / name
+    path.write_bytes(text)
+    with pytest.raises(cli.ConfigError, match=f"{name}: not UTF-8"):
+        cli.parse_config(str(path))
+    assert cli.main(["run", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: not UTF-8") and "Traceback" not in err
+
+
 def test_run_writes_reports_and_is_deterministic(tmp_path):
     cfg = write_cfg(tmp_path)
     out1, out2 = str(tmp_path / "o1"), str(tmp_path / "o2")
@@ -274,6 +302,17 @@ def test_run_truncated_feature_file_prints_error(tmp_path, capsys):
     assert err.startswith("error: ") and "feats.bin" in err
 
 
+def test_run_feature_width_not_d_prints_error(tmp_path, capsys):
+    feats = tmp_path / "feats.bin"
+    featureio.write_feature_file(feats, np.ones((8, 7), np.float32),
+                                 np.repeat(np.arange(4, dtype=np.uint32), 2))
+    cfg = write_cfg(tmp_path, kind="feature-file", feature_path=feats, d=8)
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert "7 wide, expected d = 8" in err
+
+
 def test_diag_bad_inputs_print_error(tmp_path, capsys):
     cfg = write_cfg(tmp_path, E1=1, E2=1)
     out = str(tmp_path / "run")
@@ -285,6 +324,11 @@ def test_diag_bad_inputs_print_error(tmp_path, capsys):
     assert cli.main(["diag", str(ckpt), one_task, "--out", str(tmp_path / "d")]) == 1
     assert capsys.readouterr().err.startswith(
         "error: stream lacks test samples for classes")
+    # a stream file that is not UTF-8
+    not_utf8 = tmp_path / "bytes.cfg"
+    not_utf8.write_bytes(b"num_tasks = 2\n\xff\n")
+    assert cli.main(["diag", str(ckpt), str(not_utf8), "--out", str(tmp_path / "d")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {not_utf8}: not UTF-8")
     # a well-formed heads archive without one of its entries
     heads = ckpt / "heads.bin"
     arrays = featureio.read_archive(heads, ls.HEADS_MAGIC)
@@ -310,6 +354,34 @@ def test_diag_bad_inputs_print_error(tmp_path, capsys):
     assert cli.main(["diag", str(ckpt), cfg, "--out", str(tmp_path / "d")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "trainer.json: invalid JSON" in err
+
+
+def test_checkpoint_without_banks_drops_an_older_runs_banks(tmp_path):
+    # no_replay fits no banks; the first run's must not load as its own
+    cfg = write_cfg(tmp_path, E1=1, E2=1)
+    out = str(tmp_path / "run")
+    assert cli.main(["run", cfg, "--out", out, "--seed", "3", "--checkpoint"]) == 0
+    ckpt = tmp_path / "run" / "ckpt_seed3"
+    assert (ckpt / "bank1.bin").exists() and (ckpt / "bank2.bin").exists()
+    assert cli.main(["run", cfg, "--out", out, "--seed", "3", "--checkpoint",
+                     "--variant", "no_replay"]) == 0
+    assert not (ckpt / "bank1.bin").exists() and not (ckpt / "bank2.bin").exists()
+    state = tr.load_checkpoint(ckpt)
+    assert state.variant == "no_replay" and state.bank1 == {} and state.bank2 == {}
+
+
+def test_diag_on_a_narrower_checkpoint_over_an_older_one(tmp_path, capsys):
+    # the older run's 16-wide banks would fail the d = 8 checkpoint's checks
+    out = str(tmp_path / "run")
+    assert cli.main(["run", write_cfg(tmp_path, E1=1, E2=1), "--out", out, "--seed", "3",
+                     "--checkpoint"]) == 0
+    narrow = write_cfg(tmp_path, name="narrow.cfg", E1=1, E2=1, d=8)
+    assert cli.main(["run", narrow, "--out", out, "--seed", "3", "--checkpoint",
+                     "--variant", "no_replay"]) == 0
+    capsys.readouterr()
+    rc = cli.main(["diag", str(tmp_path / "run" / "ckpt_seed3"), narrow,
+                   "--out", str(tmp_path / "d")])
+    assert rc == 0, capsys.readouterr().err
 
 
 def test_diag_takes_the_geometry_from_the_checkpoint(tmp_path, capsys):

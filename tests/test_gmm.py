@@ -1,3 +1,6 @@
+import functools
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -208,8 +211,19 @@ def _lse_arrays(draw):
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(a=_lse_arrays(), keepdims=st.booleans())
-def test_logsumexp_matches_scipy_bitwise(a, keepdims):
-    got = gmm._logsumexp(a, axis=1, keepdims=keepdims)
+def test_logsumexp_agrees_with_scipy_and_keeps_infinities(a, keepdims):
+    lse = functools.partial(gmm._logsumexp, axis=1, keepdims=keepdims)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, shifted = lse(a), lse(a + 1000.0)
+        with_inf = lse(np.where(np.arange(a.shape[1]) == 0, np.inf, a))
     want = logsumexp(a, axis=1, keepdims=keepdims)
-    assert got.shape == want.shape
-    assert got.tobytes() == want.tobytes()
+    assert got.shape == want.shape == shifted.shape == with_inf.shape
+    # a few ulp of the result (of 1 where the result is smaller)
+    finite = np.isfinite(want)
+    ulp = np.spacing(np.maximum(np.abs(want[finite]), 1.0))
+    assert np.all(np.abs(got[finite] - want[finite]) <= 4 * ulp)
+    assert np.all(got[~finite] == -np.inf)  # exactly the all -inf rows
+    assert np.all(with_inf == np.inf)
+    # shifting every entry by 1000 shifts the result, with no overflow
+    np.testing.assert_allclose(shifted, got + 1000.0, rtol=1e-14)

@@ -1,4 +1,4 @@
-"""The run path loads no scipy: only the float64 gradient oracle imports it."""
+"""No command loads scipy: the package runs on numpy and the standard library."""
 import os
 import subprocess
 import sys
@@ -8,7 +8,8 @@ from test_acceptance import TINY_CONFIG
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
 # imports every promptcl module, trains and predicts the stream, writes a
-# checkpoint and reloads it; prints the scipy modules then loaded
+# checkpoint and reloads it, runs the float64 gradient oracle; prints the
+# scipy modules then loaded
 SCRIPT = """
 import importlib, os, pkgutil, sys
 import promptcl
@@ -18,6 +19,7 @@ for info in pkgutil.iter_modules(promptcl.__path__):
 cfg, out = sys.argv[1:]
 assert cli.main(["run", cfg, "--seed", "1993", "--out", out, "--checkpoint"]) == 0
 assert cli.main(["diag", os.path.join(out, "ckpt_seed1993"), cfg, "--out", out]) == 0
+assert cli.main(["gradcheck", "--graphs", "2"]) == 0
 print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """
 

@@ -66,6 +66,21 @@ def test_invalid_specs_rejected():
         sc.ScenarioSpec(separation=-2.0)
 
 
+@pytest.mark.parametrize("kind", sc.KINDS)
+@pytest.mark.parametrize("key", ["train_per_class", "test_per_class"])
+def test_negative_sample_counts_name_the_key(kind, key):
+    with pytest.raises(sc.ScenarioError, match=f"^{key} must be >= "):
+        sc.ScenarioSpec(kind=kind, feature_path="feats.bin", **{key: -3})
+
+
+def test_feature_file_split_needs_a_count():
+    # the counts only set the split ratio, which both being 0 leaves undefined
+    sc.ScenarioSpec(kind="feature-file", feature_path="feats.bin", train_per_class=0)
+    with pytest.raises(sc.ScenarioError, match="cannot both be 0"):
+        sc.ScenarioSpec(kind="feature-file", feature_path="feats.bin",
+                        train_per_class=0, test_per_class=0)
+
+
 def test_feature_file_stream(tmp_path):
     rng = np.random.default_rng(0)
     feats, labels = [], []
