@@ -26,29 +26,34 @@ class LossError(PromptclError):
 
 @dataclass
 class ClassifierHeads:
-    """One linear head per seen task; past heads stay frozen outside replay."""
+    """One linear head over every seen class: ``W`` (d', C) and ``b`` (C,),
+    whose columns follow ``classes``, the stream's order task after task."""
 
     d_prime: int
-    heads: dict = field(default_factory=dict)    # task -> (W (d', N), b (N,))
-    classes: dict = field(default_factory=dict)  # task -> ordered class ids
+    classes: list = field(init=False, default_factory=list)
+    spans: list = field(init=False, default_factory=list)  # task t -> slice of its columns
+    W: np.ndarray = field(init=False)
+    b: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        self.W = np.zeros((self.d_prime, 0), np.float32)
+        self.b = np.zeros(0, np.float32)
 
     def add_task(self, task_id: int, class_ids) -> None:
-        if task_id in self.heads:
-            raise LossError(f"head for task {task_id} already exists")
-        n = len(class_ids)
+        if task_id != len(self.spans):
+            raise LossError(f"head for task {task_id} out of order "
+                            f"(expected task {len(self.spans)})")
+        n, c = len(class_ids), len(self.classes)
         # zero init: a fresh head yields uniform posteriors (loss = ln N)
-        self.heads[task_id] = (np.zeros((self.d_prime, n), np.float32),
-                               np.zeros(n, np.float32))
-        self.classes[task_id] = list(class_ids)
+        self.W = np.concatenate([self.W, np.zeros((self.d_prime, n), np.float32)], axis=1)
+        self.b = np.concatenate([self.b, np.zeros(n, np.float32)])
+        self.classes += list(class_ids)
+        self.spans.append(slice(c, c + n))
 
-    def task_ids(self):
-        return sorted(self.heads)
-
-    def all_classes(self):
-        out = []
-        for t in self.task_ids():
-            out.extend(self.classes[t])
-        return out
+    @property
+    def heads(self) -> dict:
+        """Task -> (W, b) views of its columns; writing them writes the head."""
+        return {t: (self.W[:, s], self.b[s]) for t, s in enumerate(self.spans)}
 
 
 def _nll(log_probs: ad.Tensor, label_idx) -> ad.Tensor:
@@ -133,35 +138,31 @@ def gr_loss_first(key_rows: ad.Tensor, bank: dict, class_ids, n: int, tau: float
     return ce_stage1(key_rows, feats, labels, tau)
 
 
-def gr_loss_second(head_params, bank: dict, class_ids, n: int, rng: Rng) -> ad.Tensor:
-    """Second-stage replay loss over the concatenation of every task head.
-
-    ``head_params``: ordered list of (W, b) tensors, one per seen task, whose
-    columns together line up with ``class_ids``.
-    """
-    if sum(w.shape[-1] for w, _ in head_params) != len(class_ids):
-        raise LossError("head widths do not cover the seen class set")
+def gr_loss_second(w: ad.Tensor, b: ad.Tensor, bank: dict, class_ids, n: int,
+                   rng: Rng) -> ad.Tensor:
+    """Second-stage replay loss under the head over every seen class, whose
+    columns line up with ``class_ids``."""
+    if w.shape[-1] != len(class_ids):
+        raise LossError(f"head width {w.shape[-1]} does not cover the "
+                        f"{len(class_ids)} seen classes")
     feats, labels = sample_replay_features(bank, class_ids, n, rng)
-    f = ad.constant(feats)
-    logits = ad.concat([head_logits(w, b, f) for w, b in head_params], axis=-1)
-    return _nll(ad.log_softmax(logits), labels)
+    return _nll(ad.log_softmax(head_logits(w, b, ad.constant(feats))), labels)
 
 
 def save_heads(path, heads: ClassifierHeads) -> None:
     """Write each task's head and column order ``classes{t}``, the stream's."""
     arrays = {}
-    for t in heads.task_ids():
-        w, b = heads.heads[t]
+    for t, (w, b) in heads.heads.items():
         arrays[f"w{t}"] = w
         arrays[f"b{t}"] = b
-        arrays[f"classes{t}"] = np.array(heads.classes[t], np.int64)
+        arrays[f"classes{t}"] = np.array(heads.classes[heads.spans[t]], np.int64)
     write_archive(path, HEADS_MAGIC, arrays)
 
 
 def load_heads(path, heads: ClassifierHeads, groups) -> ClassifierHeads:
-    """Fill the empty ``heads`` with the head of each task t in the codebook's
-    ``groups`` (each ``classes{t}`` a permutation of ``groups[t]``, every head
-    ``heads.d_prime`` wide). Other entries (older archives' ``d_prime`` and
+    """Append to the empty ``heads`` the head of each task t in the codebook's
+    ``groups`` (each ``classes{t}`` a permutation of ``groups[t]``, each
+    ``w{t}`` ``heads.d_prime`` rows tall). Other entries (older archives' ``d_prime`` and
     ``tasks``) are ignored; a missing or mismatched one raises FormatError."""
     arrays = read_archive(path, HEADS_MAGIC)
     for t, cids in enumerate(groups):
@@ -169,8 +170,8 @@ def load_heads(path, heads: ClassifierHeads, groups) -> ClassifierHeads:
         if sorted(classes) != cids:
             raise FormatError(f"{path}: entry 'classes{t}' holds {classes}, expected "
                               f"the classes {cids} of task {t}")
-        heads.heads[t] = (archive_entry(arrays, path, f"w{t}", "f",
-                                        (heads.d_prime, len(classes))),
-                          archive_entry(arrays, path, f"b{t}", "f", (len(classes),)))
-        heads.classes[t] = classes
+        heads.add_task(t, classes)
+        w, b = heads.heads[t]
+        w[:] = archive_entry(arrays, path, f"w{t}", "f", (heads.d_prime, len(classes)))
+        b[:] = archive_entry(arrays, path, f"b{t}", "f", (len(classes),))
     return heads

@@ -67,9 +67,6 @@ class TaskStream:
     class_names: dict = field(default_factory=dict)
     feature_space: bool = False  # rows are flat features needing a lift
 
-    def num_classes(self):
-        return sum(len(t.class_ids) for t in self.tasks)
-
 
 def _class_centers(rng, count, dim, separation):
     # random directions scaled to a common radius, pushed apart from origin

@@ -2,8 +2,9 @@
 
 Per task: (1) fit first-level prompts against class-prototype keys, fit
 per-class feature mixtures, rehearse the keys on synthetic features;
-(2) fit second-level residual prompts, query weights, and a fresh linear
-head, fit mixtures on the conditioned CLS features, rehearse every head.
+(2) fit second-level residual prompts, query weights, and the task's fresh
+columns of the linear head, fit mixtures on the conditioned CLS features,
+rehearse the head over every seen class.
 Task identity is never used at prediction time.
 """
 from __future__ import annotations
@@ -287,24 +288,15 @@ def _stage2(state: TrainerState, task: Task, hp: Hyperparams, tokens, z_train, r
 
 
 def _stage2_replay(state: TrainerState, hp: Hyperparams, rng):
+    heads = state.heads
     adam = optim.AdamState(lr=hp.lr2)
-    tasks = state.heads.task_ids()
-    all_cids = state.heads.all_classes()
     for ep in range(hp.E2):
-        tensors = []
-        params, grads = {}, {}
-        for t in tasks:
-            w, b = state.heads.heads[t]
-            wt = ad.Tensor(w, requires_grad=True)
-            bt = ad.Tensor(b, requires_grad=True)
-            tensors.append((wt, bt))
-            params[f"w{t}"], params[f"b{t}"] = w, b
-        loss = ls.gr_loss_second(tensors, state.bank2, all_cids, hp.n_replay,
+        w = ad.Tensor(heads.W, requires_grad=True)
+        b = ad.Tensor(heads.b, requires_grad=True)
+        loss = ls.gr_loss_second(w, b, state.bank2, heads.classes, hp.n_replay,
                                  rng.child(("gr2", ep)))
         loss.backward()
-        for t, (wt, bt) in zip(tasks, tensors):
-            grads[f"w{t}"], grads[f"b{t}"] = wt.grad, bt.grad
-        optim.adam_step(adam, params, grads)
+        optim.adam_step(adam, {"W": heads.W, "b": heads.b}, {"W": w.grad, "b": b.grad})
 
 
 def train_task(state: TrainerState, task: Task, hp: Hyperparams,
@@ -462,9 +454,8 @@ def predict_batch(state: TrainerState, x):
         order = sorted(state.books.keys)
     else:
         feats = qs.features(state, sel)
-        logits = np.concatenate([feats @ w + b for w, b in
-                                 (state.heads.heads[t] for t in state.heads.task_ids())], axis=1)
-        order = state.heads.all_classes()
+        logits = feats @ state.heads.W + state.heads.b
+        order = state.heads.classes
     return np.take(order, np.argmax(logits, axis=1)).tolist(), logits, sel.class_id.tolist()
 
 

@@ -352,8 +352,9 @@ def test_edited_membership_loads_consistent_or_raises_format_error(
     cids, task_of = state.books.class_ids, state.books.task_of
     tasks = sorted(set(task_of.values()))
     assert tasks == list(range(len(tasks))) and state.current_task == len(tasks) - 1
-    assert state.heads.task_ids() == tasks
+    assert list(state.heads.heads) == tasks
     for t in tasks:
-        assert sorted(state.heads.classes[t]) == [c for c in cids if task_of[c] == t]
+        assert sorted(state.heads.classes[state.heads.spans[t]]) == [
+            c for c in cids if task_of[c] == t]
     assert sorted(state.class_names) == sorted(state.class_embeds) == cids
     assert sorted(state.bank1) == sorted(state.bank2) == cids

@@ -4,6 +4,7 @@ import pytest
 from promptcl import autodiff as ad
 from promptcl import gmm
 from promptcl import losses as ls
+from promptcl import optim
 from promptcl.rng import Rng
 
 
@@ -75,8 +76,23 @@ def test_ce_stage2_label_count_must_match_batch(labels):
 def test_ce_stage2_duplicate_task_head_rejected():
     heads = ls.ClassifierHeads(d_prime=4)
     heads.add_task(0, [0, 1])
-    with pytest.raises(ls.LossError):
+    with pytest.raises(ls.LossError, match="expected task 1"):
         heads.add_task(0, [2, 3])
+    with pytest.raises(ls.LossError, match="expected task 1"):
+        heads.add_task(2, [2, 3])
+
+
+def test_heads_are_views_of_one_stacked_head():
+    heads = ls.ClassifierHeads(d_prime=3)
+    heads.add_task(0, [5, 1])
+    heads.add_task(1, [0, 4, 2])
+    assert heads.W.shape == (3, 5) and heads.b.shape == (5,)
+    assert heads.classes == [5, 1, 0, 4, 2]
+    w, b = heads.heads[1]
+    w += 1.0
+    b -= 2.0
+    np.testing.assert_array_equal(heads.W, np.hstack([np.zeros((3, 2)), np.ones((3, 3))]))
+    np.testing.assert_array_equal(heads.b, [0, 0, -2, -2, -2])
 
 
 def test_ortho_first_cases():
@@ -158,7 +174,7 @@ def test_gr_loss_second_single_task_zero_head():
     bank = point_mass_bank({0: [1, 0, 0, 0.0], 1: [0, 1, 0, 0.0], 2: [0, 0, 1, 0.0]})
     w = ad.constant(np.zeros((4, 3), np.float32))
     b = ad.constant(np.zeros(3, np.float32))
-    loss = ls.gr_loss_second([(w, b)], bank, [0, 1, 2], n=8, rng=Rng(7))
+    loss = ls.gr_loss_second(w, b, bank, [0, 1, 2], n=8, rng=Rng(7))
     assert abs(loss.item() - np.log(3)) < 1e-6
 
 
@@ -167,30 +183,59 @@ def test_gr_loss_second_confident_heads():
     w = np.zeros((2, 2), np.float32)
     w[0, 0] = 10.0
     w[1, 1] = 10.0
-    loss = ls.gr_loss_second([(ad.constant(w), ad.constant(np.zeros(2, np.float32)))],
+    loss = ls.gr_loss_second(ad.constant(w), ad.constant(np.zeros(2, np.float32)),
                              bank, [0, 1], n=8, rng=Rng(8))
     assert loss.item() < 1e-3
 
 
 def test_gr_loss_second_trains_all_heads_and_logit_width():
-    # three tasks of 2 classes each: logits are 6 wide, theta_1 still gets grads
+    # three tasks of 2 classes each: one 6-wide head, task 0's columns still get grads
     bank = point_mass_bank({c: np.eye(4)[c % 4] for c in range(6)})
-    params = []
+    heads = ls.ClassifierHeads(d_prime=4)
     for t in range(3):
-        w = ad.Tensor(np.zeros((4, 2), np.float32), requires_grad=True)
-        b = ad.Tensor(np.zeros(2, np.float32), requires_grad=True)
-        params.append((w, b))
-    loss = ls.gr_loss_second(params, bank, list(range(6)), n=4, rng=Rng(9))
+        heads.add_task(t, [2 * t, 2 * t + 1])
+    w = ad.Tensor(heads.W, requires_grad=True)
+    b = ad.Tensor(heads.b, requires_grad=True)
+    loss = ls.gr_loss_second(w, b, bank, heads.classes, n=4, rng=Rng(9))
     loss.backward()
-    assert params[0][0].grad is not None  # earliest head updated during replay
-    assert all(w.grad is not None for w, _ in params)
+    assert w.grad.shape == (4, 6) and b.grad.shape == (6,)
+    for s in heads.spans:  # every task's columns, the earliest included
+        assert np.abs(w.grad[:, s]).sum() > 0 and np.abs(b.grad[s]).sum() > 0
 
 
 def test_gr_loss_second_rejects_heads_that_miss_a_class():
     bank = point_mass_bank({c: np.eye(4)[c] for c in range(3)})
-    head = (ad.constant(np.zeros((4, 2), np.float32)), ad.constant(np.zeros(2, np.float32)))
-    with pytest.raises(ls.LossError, match="head widths"):
-        ls.gr_loss_second([head], bank, [0, 1, 2], n=4, rng=Rng(9))
+    w, b = ad.constant(np.zeros((4, 2), np.float32)), ad.constant(np.zeros(2, np.float32))
+    with pytest.raises(ls.LossError, match="head width 2 does not cover the 3 seen"):
+        ls.gr_loss_second(w, b, bank, [0, 1, 2], n=4, rng=Rng(9))
+
+
+def test_gr_loss_second_grads_match_finite_differences():
+    # float64 head of two tasks (2 + 3 classes) on replay from spread mixtures:
+    # the gradient reaches both tasks' columns and the bias
+    rng = Rng(12)
+    bank = {c: gmm.MoG(weights=np.array([0.4, 0.6]), means=rng.normal((2, 3), dtype=np.float64),
+                       covs=np.full((2, 3), 0.3)) for c in range(5)}
+    heads = ls.ClassifierHeads(d_prime=3)
+    heads.add_task(0, [3, 0])
+    heads.add_task(1, [4, 1, 2])
+    params = {"W": rng.normal((3, 5), dtype=np.float64), "b": rng.normal((5,), dtype=np.float64)}
+
+    def fn(t):
+        return ls.gr_loss_second(t["W"], t["b"], bank, heads.classes, n=3, rng=Rng(13))
+
+    report = optim.grad_check(fn, params, tol=1e-6, h=1e-5)
+    assert report.passed, report.per_param
+    # the loss of the per-task heads' concatenated logits, in float64
+    feats, labels = ls.sample_replay_features(bank, heads.classes, 3, Rng(13))
+    logits = np.concatenate([feats @ params["W"][:, s] + params["b"][s] for s in heads.spans], 1)
+    logp = logits - np.log(np.exp(logits).sum(1, keepdims=True))
+    expected = -logp[np.arange(len(labels)), labels].mean()
+    assert fn({k: ad.Tensor(v) for k, v in params.items()}).item() == pytest.approx(expected, rel=1e-12)
+    w = ad.Tensor(params["W"], requires_grad=True)
+    fn({"W": w, "b": ad.Tensor(params["b"])}).backward()
+    for s in heads.spans:
+        assert np.abs(w.grad[:, s]).min() > 0
 
 
 def test_losses_nonnegative_and_finite():
@@ -211,6 +256,6 @@ def test_heads_checkpoint_round_trip(tmp_path):
     path = tmp_path / "heads.bin"
     ls.save_heads(path, heads)
     back = ls.load_heads(path, ls.ClassifierHeads(d_prime=4), [[0, 1], [2, 3, 4]])
-    assert back.task_ids() == [0, 1]
-    assert back.all_classes() == [0, 1, 2, 3, 4]
-    np.testing.assert_array_equal(back.heads[1][0], heads.heads[1][0])
+    assert list(back.heads) == [0, 1]
+    assert back.classes == [0, 1, 2, 3, 4]
+    assert back.W.tobytes() == heads.W.tobytes() and back.b.tobytes() == heads.b.tobytes()

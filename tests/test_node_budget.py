@@ -1,10 +1,11 @@
 """Graph-size budgets: batched paths build a fixed number of nodes, however
-many heads, past prompts or samples they cover."""
+many attention heads, seen tasks, past prompts or samples they cover."""
 import numpy as np
 import pytest
 
 from promptcl import autodiff as ad
 from promptcl import encoders as enc
+from promptcl import gmm
 from promptcl import losses as ls
 from promptcl import prompts as pr
 from promptcl import trainer as tr
@@ -93,3 +94,24 @@ def test_conditioned_cls_nodes_do_not_grow_with_batch(count_nodes):
         counts.append(count_nodes(
             lambda: tr._conditioned_cls(state, tokens, sel, (cids, q_t, a_t), z)))
     assert counts[0] == counts[1]
+
+
+def test_head_replay_nodes_do_not_grow_with_seen_tasks(count_nodes):
+    # one stacked head over every seen class: a replay epoch builds the same
+    # graph after 1 task as after 10
+    hp = tr.Hyperparams(E1=1, E2=1, lambda1=1, lambda2=1, lr1=0.01, lr2=0.01,
+                        M=1, n_replay=3, batch_size=4)
+    rng = Rng(8)
+    replay, loss = [], []
+    for tasks in (1, 10):
+        state = tr.new_state(enc.EncoderConfig(d=8, d_prime=4, L=1, heads=2), seed=4)
+        for t in range(tasks):
+            state.heads.add_task(t, [2 * t, 2 * t + 1])
+        state.bank2 = {c: gmm.MoG(weights=np.ones(1), means=rng.normal((1, 4), dtype=np.float64),
+                                  covs=np.ones((1, 4))) for c in state.heads.classes}
+        replay.append(count_nodes(lambda: tr._stage2_replay(state, hp, Rng(9))))
+        w, b = ad.Tensor(state.heads.W, requires_grad=True), ad.Tensor(state.heads.b)
+        loss.append(count_nodes(lambda: ls.gr_loss_second(
+            w, b, state.bank2, state.heads.classes, 3, Rng(9))))
+    assert replay[0] == replay[1]
+    assert loss[0] == loss[1]

@@ -24,7 +24,7 @@ def test_disjoint_class_ids_and_shapes():
         seen.update(task.class_ids)
         assert task.train_x.shape == (15, 4, 8)
         assert task.test_x.shape == (6, 4, 8)
-    assert stream.num_classes() == 12
+    assert len(stream.class_names) == 12
 
 
 def test_zero_separation_collapses_classes():

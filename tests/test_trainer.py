@@ -95,6 +95,48 @@ def test_freeze_invariance_across_tasks():
             hashes[done] = h
 
 
+def test_finished_heads_move_only_through_replay(monkeypatch):
+    # under no_replay a finished task's head columns keep their bits; under the
+    # full method only stage-2 replay moves them
+    stream = small_stream()
+    real, before_replay = tr._stage2_replay, []
+
+    def recording(state, hp, rng):
+        before_replay.append((state.heads.W.copy(), state.heads.b.copy()))
+        real(state, hp, rng)
+
+    monkeypatch.setattr(tr, "_stage2_replay", recording)
+    for variant in ("no_replay", None):
+        state = tr.new_state(CFG, seed=1993, variant=variant)
+        before_replay.clear()
+        ends = []
+        for task in stream.tasks:
+            tr.train_task(state, task, HP, stream.class_names)
+            ends.append((state.heads.W.copy(), state.heads.b.copy()))
+        assert len(before_replay) == (0 if variant else len(stream.tasks))
+        for k in range(1, len(ends)):
+            (w0, b0), (w1, b1) = ends[k - 1], ends[k]
+            for s in state.heads.spans[:k]:
+                if variant == "no_replay":
+                    assert w0[:, s].tobytes() == w1[:, s].tobytes()
+                    assert b0[s].tobytes() == b1[s].tobytes()
+                else:
+                    w, b = before_replay[k]  # task k's stages 1 and 2 left them alone
+                    assert w[:, s].tobytes() == w0[:, s].tobytes()
+                    assert b[s].tobytes() == b0[s].tobytes()
+                    assert w1[:, s].tobytes() != w0[:, s].tobytes()
+    # predict_batch's logit columns follow heads.classes
+    x, heads = stream.tasks[0].test_x, state.heads
+    preds, logits, _ = tr.predict_batch(state, x)
+    assert logits.shape[1] == len(heads.classes) == 6
+    perm = [3, 0, 5, 1, 4, 2]
+    heads.W, heads.b = heads.W[:, perm], heads.b[perm]
+    heads.classes = [heads.classes[i] for i in perm]
+    moved, moved_logits, _ = tr.predict_batch(state, x)
+    assert moved == preds
+    np.testing.assert_allclose(moved_logits, logits[:, perm], rtol=1e-6, atol=1e-6)
+
+
 @pytest.mark.parametrize("variant", [None, "no_first_level"])
 def test_key_cache_coherence(variant):
     stream = small_stream()
