@@ -11,8 +11,8 @@ Graphs are built eagerly and single-threaded; ``backward`` walks the tape in
 reverse topological order exactly once. A tensor's precision follows its data:
 a float64 array stays float64 (the finite-difference oracle's leaves), anything
 else is stored as float32, and ops mixing the two promote under numpy's rules.
-The layer-norm statistics inside ``frozen_block`` are accumulated in float64
-regardless.
+The layer-norm statistics inside ``frozen_block`` are computed in the
+block's own precision, centred before they are squared.
 
 Importing this module, and so importing ``promptcl``, changes glibc's
 allocator for the whole process: freed memory is kept mapped (see
@@ -200,20 +200,22 @@ def _check_broadcast(a, b, op):
 # ---------------------------------------------------------------------------
 # numerics of the fused block
 
-# Eigen's generic_fast_erf_float (also XLA's float32 erf): an odd degree-13
-# numerator over an even degree-8 denominator, highest power first
-_ERF_ALPHA = np.array([-2.72614225801306e-10, 2.77068142495902e-08, -2.10102402082508e-06,
-                       -5.69250639462346e-05, -7.34990630326855e-04, -2.95459980854025e-03,
-                       -1.60960333262415e-02], dtype=np.float32)
-_ERF_BETA = np.array([-1.45660718464996e-05, -2.13374055278905e-04, -1.68282697438203e-03,
-                      -7.37332916720468e-03, -1.42647390514189e-02], dtype=np.float32)
+# erf(x) = tanh(x * P(x^2)) with P of degree 6, highest power first, fitted to
+# atanh(erf(x)) / x on [0, 3.9] by least squares reweighted toward the largest
+# erf error. Past the clamp float32 erf is 1 within 4e-8
+_ERF_P = np.array([1.5896025e-07, -5.9856911e-06, 8.9712594e-05, -6.2571961e-04,
+                   -1.8438368e-04, 1.0276548e-01, 1.1283797e+00], dtype=np.float32)
+_ERF_CLAMP = 3.9
+# erf(x / sqrt 2) = tanh(x * P(x^2 / 2) / sqrt 2): gelu's P, taking x^2 itself
+_GELU_P = (_ERF_P.astype(np.float64) / np.sqrt(2.0)
+           / 2.0 ** np.arange(len(_ERF_P) - 1, -1, -1)).astype(np.float32)
 
 
-_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+_LOG_INV_SQRT_2PI = -0.5 * math.log(2.0 * math.pi)
 
 
-def _horner(x2, coeffs, out):
-    p = np.multiply(x2, coeffs[0], out=out)
+def _horner(x2, coeffs):
+    p = x2 * coeffs[0]
     p += coeffs[1]
     for c in coeffs[2:]:
         p *= x2
@@ -221,78 +223,106 @@ def _horner(x2, coeffs, out):
     return p
 
 
-def erf32(x):
-    """float32 erf as a rational function, computed in place: ``x`` is
-    overwritten with the result. Inputs are clamped to +-4, past which float32
-    erf is +-1; the absolute error is below 5e-7 everywhere."""
-    np.clip(x, -4.0, 4.0, out=x)
-    x2 = x * x
-    p = _horner(x2, _ERF_ALPHA, None)
+def _tanh_poly(x, x2, coeffs, clamp):
+    """float32 ``tanh(x * P(min(x2, clamp**2)))`` for ``x2 = x * x``, as a new
+    array; ``x2`` is clamped in place, so P stays in its fitted range and an
+    infinite square is harmless. Exactly odd in x, since ``np.tanh`` is."""
+    np.minimum(x2, clamp * clamp, out=x2)
+    p = _horner(x2, coeffs)
     p *= x
-    return np.divide(p, _horner(x2, _ERF_BETA, out=x), out=x)
+    return np.tanh(p, out=p)
+
+
+def erf32(x):
+    """float32 erf in tanh form, computed in place: ``x`` is overwritten with
+    the result. Inputs are clamped to +-3.9; the absolute error is below 5e-7
+    everywhere."""
+    np.clip(x, -_ERF_CLAMP, _ERF_CLAMP, out=x)
+    x[...] = _tanh_poly(x, x * x, _ERF_P, _ERF_CLAMP)
+    return x
 
 
 def _gelu_forward(x, with_slope):
     """(gelu(x), d gelu/dx or None), leaving ``x`` untouched. float32 uses
-    ``erf32``; float64, the gradient oracle's dtype, ``math.erf`` per entry."""
-    phi = np.divide(x, np.sqrt(2.0, dtype=x.dtype), out=np.empty_like(x))
+    ``erf32``'s tanh form with the 1/sqrt(2) folded into P; float64, the
+    gradient oracle's dtype, ``math.erf`` per entry. x is squared once: the
+    slope's Gaussian reads the square before the erf clamps it."""
+    x2 = np.square(x)
+    slope = None
+    if with_slope:  # Phi(x) + x * pdf(x), pdf(x) = exp(log(1/sqrt(2 pi)) - x^2 / 2)
+        slope = np.multiply(x2, -0.5)
+        slope += _LOG_INV_SQRT_2PI
+        np.exp(slope, out=slope)
+        slope *= x
     if x.dtype == np.float32:
-        phi = erf32(phi)
+        phi = _tanh_poly(x, x2, _GELU_P, _ERF_CLAMP * math.sqrt(2.0))
     else:
-        phi = np.vectorize(math.erf, otypes=[np.float64])(phi)
-    phi += 1.0
+        phi = np.vectorize(math.erf, otypes=[np.float64])(x / math.sqrt(2.0))
     phi *= 0.5
-    out = x * phi
-    if not with_slope:
-        return out, None
-    slope = np.square(x)  # Phi(x) + x * pdf(x)
-    slope *= -0.5
-    np.exp(slope, out=slope)
-    slope *= x
-    slope *= _INV_SQRT_2PI
-    slope += phi
+    phi += 0.5
+    out = np.multiply(x, phi, out=x2)  # the square is spent: reuse its buffer
+    if with_slope:
+        slope += phi
     return out, slope
 
 
 _LN_EPS = 1e-5
 
 
-# The kernels below reduce through the ufuncs themselves: ndarray.mean, .sum
-# and .max reach the same np.add / np.maximum reductions through Python
-# wrappers, and a mean's division by the count rounds to the same bits
+# Row reductions over the short last axis: einsum and vecdot reduce each row
+# on its own, several times faster than np.add.reduce's strided loop
 
 
-def _mean_last(x):
-    return np.add.reduce(x, axis=-1, keepdims=True) / x.shape[-1]
+def _row_sum(x):
+    return np.einsum("...k->...", x)[..., None]
+
+
+def _row_dot(a, b):
+    return np.einsum("...k,...k->...", a, b)[..., None]
+
+
+def _row_max(x):
+    """The max over the last axis as a fold over its columns: np.maximum is
+    exact, so this is np.max without its strided reduction loop (bitwise, but
+    for the sign of a zero maximum)."""
+    m = x[..., 0].copy()
+    for j in range(1, x.shape[-1]):
+        np.maximum(m, x[..., j], out=m)
+    return m[..., None]
 
 
 def _layer_norm_forward(x):
-    """(y, std) of a scale-1 shift-0 layer norm over the last axis; float64
-    statistics, results in x's dtype."""
-    xc = x.astype(np.float64)
-    xc -= _mean_last(xc)
-    root = np.sqrt(_mean_last(np.square(xc)) + _LN_EPS)
-    xc /= root
-    return xc.astype(x.dtype), root.astype(x.dtype)
+    """(y, std) of a scale-1 shift-0 layer norm over the last axis, in x's
+    dtype. Two passes: the rows are centred before their squares are summed,
+    so a mean far from zero does not cancel the variance."""
+    n = x.shape[-1]
+    xc = x - _row_sum(x) / n
+    var = np.vecdot(xc, xc)[..., None]
+    var /= n
+    var += _LN_EPS
+    std = np.sqrt(var, out=var)
+    xc /= std
+    return xc, std
 
 
 def _layer_norm_backward(g, y, std):
-    gy = _mean_last(g * y)
-    out = g - _mean_last(g)
+    n = g.shape[-1]
+    gy = _row_dot(g, y) / n
+    out = g - _row_sum(g) / n
     out -= y * gy
     out /= std
     return out
 
 
 def _softmax_forward(x):
-    e = x - np.maximum.reduce(x, axis=-1, keepdims=True)
+    e = np.subtract(x, _row_max(x))
     np.exp(e, out=e)
-    e /= np.add.reduce(e, axis=-1, keepdims=True)
+    e /= _row_sum(e)
     return e
 
 
 def _softmax_backward(g, s):
-    out = g - np.add.reduce(g * s, axis=-1, keepdims=True)
+    out = g - _row_dot(g, s)
     out *= s
     return out
 
@@ -512,7 +542,9 @@ def frozen_block(h, w, heads, residual=None, prefix_kv=None, cls_only=False):
         raise ShapeError(f"frozen_block: width {dim} with {heads} heads, weights {w['wq'].shape}")
     dh = dim // heads
     nq = 1 if cls_only else x.shape[-2]
-    score_scale = np.asarray(1.0 / np.sqrt(dh), dtype=x.dtype)
+    # the scores' 1/sqrt(dh) rides on the query weights (exact when dh is a
+    # power of 4), so neither the scores nor their gradient take a pass for it
+    wq = w["wq"] * np.asarray(1.0 / np.sqrt(dh), dtype=x.dtype)
 
     def split(t):  # (..., m, D) -> (..., heads, m, dh)
         return np.swapaxes(t.reshape(t.shape[:-1] + (heads, dh)), -3, -2)
@@ -521,20 +553,20 @@ def frozen_block(h, w, heads, residual=None, prefix_kv=None, cls_only=False):
         return np.swapaxes(t, -3, -2).reshape(t.shape[:-3] + (t.shape[-2], dim))
 
     # forward products run per sample (np.matmul, not _dense's one BLAS
-    # call): a forward row's bits then do not depend on the batch it came in
+    # call): a forward row's bits then do not depend on the batch it came in.
+    # K and V come from one product over the concatenated weights
     xn, std_h = _layer_norm_forward(x)
-    q = np.matmul(xn[..., :nq, :], w["wq"])
-    k = np.matmul(xn, w["wk"])
-    v = np.matmul(xn, w["wv"])
+    q = np.matmul(xn[..., :nq, :], wq)
+    kv = np.matmul(xn, np.concatenate([w["wk"], w["wv"]], axis=1))
+    k, v = kv[..., :dim], kv[..., dim:]
     n_pre = 0
     if prefix_kv is not None:
-        kv = prefix_kv.data
-        n_pre = kv.shape[-2] // 2
-        k = np.concatenate([kv[..., :n_pre, :], k], axis=-2)
-        v = np.concatenate([kv[..., n_pre:, :], v], axis=-2)
+        pre = prefix_kv.data
+        n_pre = pre.shape[-2] // 2
+        k = np.concatenate([pre[..., :n_pre, :], k], axis=-2)
+        v = np.concatenate([pre[..., n_pre:, :], v], axis=-2)
     qh, kh, vh = split(q), split(k), split(v)
     scores = np.matmul(qh, np.swapaxes(kh, -1, -2))
-    scores *= score_scale
     probs = _softmax_forward(scores)
     e = np.matmul(merge(np.matmul(probs, vh)), w["wo"])
     e += x[..., :nq, :]
@@ -556,7 +588,6 @@ def frozen_block(h, w, heads, residual=None, prefix_kv=None, cls_only=False):
         if need_h or need_pre:
             g_ctx = split(_dense(g_e, w["wo"].T))
             g_scores = _softmax_backward(np.matmul(g_ctx, np.swapaxes(vh, -1, -2)), probs)
-            g_scores *= score_scale
             cols = slice(None) if need_h else slice(0, n_pre)  # key/value rows that need a gradient
             g_k = merge(np.matmul(np.swapaxes(g_scores[..., cols], -1, -2), qh))
             g_v = merge(np.matmul(np.swapaxes(probs[..., cols], -1, -2), g_ctx))
@@ -565,7 +596,7 @@ def frozen_block(h, w, heads, residual=None, prefix_kv=None, cls_only=False):
             if need_h:
                 g_xn = _dense(g_k[..., n_pre:, :], w["wk"].T)
                 g_xn += _dense(g_v[..., n_pre:, :], w["wv"].T)
-                g_xn[..., :nq, :] += _dense(merge(np.matmul(g_scores, kh)), w["wq"].T)
+                g_xn[..., :nq, :] += _dense(merge(np.matmul(g_scores, kh)), wq.T)
                 g_h = _layer_norm_backward(g_xn, xn, std_h)
                 g_h[..., :nq, :] += g_e
         return tuple(g for t, g in ((h, g_h), (residual, g_res), (prefix_kv, g_pre))

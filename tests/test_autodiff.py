@@ -111,6 +111,117 @@ def test_float64_gelu_matches_scipy_erf():
     np.testing.assert_allclose(got, x * 0.5 * (1 + erf(x / np.sqrt(2))), rtol=0, atol=1e-15)
 
 
+def test_float32_gelu_matches_scipy_erf():
+    from scipy.special import erf
+
+    x = np.concatenate([np.linspace(-12, 12, 1_200_001, dtype=np.float32),
+                        np.float32([0.0, -0.0, 3.9 * np.sqrt(2), 1e30, -1e30])])
+    with np.errstate(over="ignore"):  # the square of +-1e30 is inf in float32
+        got, slope = ad._gelu_forward(x, with_slope=True)
+    assert got.dtype == slope.dtype == np.float32
+    x64 = x.astype(np.float64)
+    cdf = 0.5 * (1 + erf(x64 / np.sqrt(2)))
+    ref = x64 * cdf
+    # erf32's 5e-7 bound, halved by the 1/2 in gelu, plus the rounding of x * Phi
+    bound = 5e-7 * np.abs(x64) / 2 + 4 * np.spacing(np.abs(ref).astype(np.float32))
+    assert (np.abs(got - ref) <= bound).all()
+    ref_slope = cdf + x64 * np.exp(-x64 * x64 / 2) / np.sqrt(2 * np.pi)
+    assert np.abs(slope - ref_slope).max() < 1e-6
+    plain, none = ad._gelu_forward(x[:-2], with_slope=False)
+    assert none is None and plain.tobytes() == got[:-2].tobytes()
+
+
+def _layer_norm_f64(x):
+    xc = x - x.mean(-1, keepdims=True)
+    return xc / np.sqrt((xc * xc).mean(-1, keepdims=True) + ad._LN_EPS)
+
+
+@pytest.mark.parametrize("mean, std", [(1e3, 1.0), (1.0, 1e-3), (0.0, 1e-3)])
+def test_float32_layer_norm_is_stable_off_centre(mean, std):
+    x = Rng(31).normal((256, 64), std=std) + np.float32(mean)
+    x64 = x.astype(np.float64)
+    ref = _layer_norm_f64(x64)
+    # a float32 centre is off by up to an ulp of the row's largest entry, which
+    # the division scales by 1 / std: the unit is one float32 ulp of the input
+    # in output terms (for a zero-mean row, one ulp of the output scale)
+    unit = np.finfo(np.float32).eps * np.abs(x64).max(-1, keepdims=True) / np.sqrt(
+        x64.var(-1, keepdims=True) + ad._LN_EPS)
+    y, std_out = ad._layer_norm_forward(x)
+    assert y.dtype == std_out.dtype == np.float32
+    assert (np.abs(y - ref) <= 4 * unit).all()
+    # the one-pass form E[x^2] - mu^2 cancels away the variance off centre
+    if mean:
+        mu = x.mean(-1, keepdims=True, dtype=np.float32)
+        var = np.maximum((x * x).mean(-1, keepdims=True, dtype=np.float32) - mu * mu, 0)
+        one_pass = (x - mu) / np.sqrt(var + np.float32(ad._LN_EPS))
+        assert not (np.abs(one_pass - ref) <= 4 * unit).all()
+
+
+def test_float64_layer_norm_keeps_float64():
+    x = Rng(32).normal((6, 8), dtype=np.float64) + 5.0
+    y, std = ad._layer_norm_forward(x)
+    assert y.dtype == std.dtype == np.float64
+    np.testing.assert_allclose(y, _layer_norm_f64(x), rtol=0, atol=1e-14)
+
+
+def test_softmax_survives_one_dominant_score():
+    scores = Rng(33).normal((3, 2, 5, 9))
+    scores[..., 0] += 1e4  # one prefix key far above the rest
+    probs = ad._softmax_forward(scores)
+    assert np.isfinite(probs).all()
+    np.testing.assert_allclose(probs.sum(-1), 1.0, rtol=0, atol=1e-6)
+    np.testing.assert_array_equal(probs[..., 0], 1.0)
+
+
+def test_softmax_folded_max_is_np_max():
+    scores = Rng(34).normal((4, 3, 6, 17))
+    scores[1, 1, 1, 5] = 1e4
+    for s in (scores, scores[..., :1, :], scores[..., :1], scores[:0]):
+        assert ad._row_max(s).tobytes() == np.max(s, axis=-1, keepdims=True).tobytes()
+    ref = np.exp(scores.astype(np.float64) - scores.max(-1, keepdims=True))
+    ref /= ref.sum(-1, keepdims=True)
+    np.testing.assert_allclose(ad._softmax_forward(scores), ref, rtol=0, atol=1e-6)
+    # a zero maximum may come out with the other sign; exp(x - max) cannot tell
+    zeros = np.float32([[-0.0] * 8 + [0.0] * 9])
+    assert ad._row_max(zeros) == np.max(zeros, axis=-1)
+    np.testing.assert_array_equal(ad._softmax_forward(zeros), np.full((1, 17), 1 / 17, np.float32))
+
+
+def test_frozen_block_with_a_dominant_prefix_key_stays_finite():
+    from promptcl.encoders import EncoderConfig, build_stack
+
+    blk = build_stack(EncoderConfig(d=8, d_prime=8, L=1, heads=2, seq_len=4, patch_dim=4),
+                      5).main_blocks[0]
+    h = Rng(35).normal((2, 4, 8))
+    kv = np.zeros((2, 2, 8), np.float32)
+    kv[:, 0] = 1e4 * np.sign(Rng(36).normal((2, 8)))  # scores near +-1e4
+    out = ad.frozen_block(ad.constant(h), blk, 2, prefix_kv=ad.constant(kv))
+    assert out.data.dtype == np.float32 and np.isfinite(out.data).all()
+
+
+@pytest.mark.parametrize("cls_only", [False, True])
+@pytest.mark.parametrize("cond", ["residual", "prefix"])
+def test_frozen_block_precision_follows_its_inputs(cls_only, cond):
+    # float32 in, float32 out and float32 gradients; a float64 residual or
+    # prefix (the gradient oracle's) promotes the whole block to float64
+    from promptcl.encoders import EncoderConfig, build_stack
+
+    blk = build_stack(EncoderConfig(d=8, d_prime=8, L=1, heads=2, seq_len=4, patch_dim=4),
+                      5).main_blocks[0]
+    rng = Rng(37)
+    h0 = rng.normal((2, 4, 8))
+    c0 = rng.normal((2, 1, 8) if cond == "residual" else (2, 4, 8), std=0.3)
+    for dtype in (np.float32, np.float64):
+        h = ad.Tensor(h0, requires_grad=True)
+        c = ad.Tensor(c0.astype(dtype), requires_grad=True)
+        kw = {"residual": c} if cond == "residual" else {"prefix_kv": c}
+        out = ad.frozen_block(h, blk, 2, cls_only=cls_only, **kw)
+        assert out.data.dtype == dtype
+        grads = out._backward(np.ones_like(out.data))
+        assert [g.dtype for g in grads] == [dtype, dtype]
+        assert [g.shape for g in grads] == [h.shape, c.shape]
+
+
 @pytest.mark.parametrize("cls_only", [False, True])
 @pytest.mark.parametrize("cond", ["residual", "prefix"])
 def test_frozen_block_grads_match_finite_differences(cls_only, cond):

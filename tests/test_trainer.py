@@ -171,6 +171,22 @@ def test_predict_untrained_errors_and_logit_width():
         tr.predict_batch(state, stream.tasks[0].test_x[0])
 
 
+@pytest.mark.parametrize("variant", [None, "prefix_tuning", "first_level_only"])
+def test_predict_batch_of_zero_and_one_rows(variant):
+    stream = small_stream(num_tasks=2)
+    state = run_stream(stream, variant=variant, hp=replace(HP, E1=2, E2=1))
+    x = stream.tasks[1].test_x
+    preds, logits, chosen = tr.predict_batch(state, x[:0])
+    assert (preds, logits.shape, chosen) == ([], (0, 4), [])
+    preds, logits, chosen = tr.predict_batch(state, x[:1])
+    assert logits.shape == (1, 4) and np.isfinite(logits).all()
+    full = tr.predict_batch(state, x)
+    assert (preds, chosen) == (full[0][:1], full[2][:1])
+    # the head product is one GEMM over the batch, so a lone row may round
+    # differently in its last bits
+    np.testing.assert_allclose(logits, full[1][:1], rtol=0, atol=1e-6)
+
+
 def test_conditioned_cls_rows_equal_single_sample_forwards():
     from promptcl import prompts as pr
     from promptcl.encoders import embed_tokens, vision_encode, vit_forward
