@@ -5,7 +5,8 @@ The primitives are exactly the ops the program builds: ``add``, ``mul``,
 ``l2_normalize``, the reductions ``rsum`` and ``mean``, the shape ops
 ``concat``, ``stack``, ``swapaxes``, ``reshape``, ``take`` and ``slice_axis``,
 and ``frozen_block``, a whole frozen transformer block as one node.
-``cli.gradcheck_suite`` composes this same set against finite differences.
+``cli.gradcheck_suite`` checks this same set against finite differences, in
+random compositions and in the trainer's own loss, ``trainer.stage2_loss``.
 
 Graphs are built eagerly and single-threaded; ``backward`` walks the tape in
 reverse topological order exactly once. A tensor's precision follows its data:

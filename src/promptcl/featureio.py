@@ -26,6 +26,20 @@ class FormatError(PromptclError):
     """Raised on malformed binary files."""
 
 
+def unique_keys(path, error=FormatError):
+    """An ``object_pairs_hook`` for ``json.load`` that raises ``error``
+    naming a key given twice in one object of the file ``path``."""
+    def hook(pairs):
+        obj = {}
+        for k, v in pairs:
+            if k in obj:
+                raise error(f"{path}: key '{k}' is given twice")
+            obj[k] = v
+        return obj
+
+    return hook
+
+
 def write_feature_file(path, features, labels) -> None:
     features = np.ascontiguousarray(features, dtype="<f4")
     labels = np.ascontiguousarray(labels, dtype="<u4")
@@ -100,7 +114,8 @@ def write_archive(path, magic: bytes, arrays: dict) -> None:
 
 
 def read_archive(path, magic: bytes) -> dict:
-    """Read named arrays back; a truncated or corrupt file raises FormatError."""
+    """Read named arrays back; a truncated or corrupt file, or a name given
+    twice, raises FormatError."""
     with open(path, "rb") as f:
         raw = f.read()
     if raw[:8] != magic:
@@ -124,6 +139,8 @@ def read_archive(path, magic: bytes) -> dict:
             name = chunk(nlen, "a name").decode("utf-8")
         except UnicodeDecodeError:
             raise FormatError(f"{path}: array name is not UTF-8") from None
+        if name in arrays:
+            raise FormatError(f"{path}: entry {name!r} is given twice")
         code = chunk(2, f"the dtype of {name!r}")
         if code not in _CODE_TYPES:
             raise FormatError(f"{path}: unknown dtype code {code!r}")

@@ -28,36 +28,32 @@ class AdamState:
     v: dict = field(default_factory=dict)
 
 
-def adam_step(state: AdamState, params: dict, grads: dict) -> None:
+def adam_step(state: AdamState, params: dict, grads: dict, rows: dict | None = None) -> None:
     """One Adam update, in place on the arrays in ``params``.
 
-    ``params`` maps name -> numpy array, ``grads`` name -> matching gradient.
-    Parameters without a gradient entry are left untouched.
+    ``params`` maps name -> numpy array, ``grads`` name -> matching gradient;
+    a parameter whose gradient is missing or None is left untouched. ``rows``
+    maps a name to a boolean mask over its first axis: rows outside it keep
+    their values and moments (lazy Adam), as a parameter of its own would.
     """
     state.step_count += 1
-    t = state.step_count
-    bc1 = 1.0 - BETA1 ** t
-    bc2 = 1.0 - BETA2 ** t
+    bc1, bc2 = 1.0 - BETA1 ** state.step_count, 1.0 - BETA2 ** state.step_count
     for name, p in params.items():
         g = grads.get(name)
         if g is None:
             continue
         if g.shape != p.shape:
             raise GradientError(f"gradient shape {g.shape} != param shape {p.shape} for '{name}'")
+        r = (rows or {}).get(name, ...)  # ... indexes every row
+        g = g[r]
         if not np.all(np.isfinite(g)):
             raise GradientError(f"non-finite gradient for parameter '{name}'")
         if name not in state.m:
-            state.m[name] = np.zeros_like(p)
-            state.v[name] = np.zeros_like(p)
-        m = state.m[name]
-        v = state.v[name]
-        m *= BETA1
-        m += (1.0 - BETA1) * g
-        v *= BETA2
-        v += (1.0 - BETA2) * g * g
-        m_hat = m / bc1
-        v_hat = v / bc2
-        p -= (state.lr * m_hat / (np.sqrt(v_hat) + EPS)).astype(p.dtype)
+            state.m[name], state.v[name] = np.zeros_like(p), np.zeros_like(p)
+        m, v = state.m[name], state.v[name]
+        m[r] = m[r] * BETA1 + (1.0 - BETA1) * g
+        v[r] = v[r] * BETA2 + (1.0 - BETA2) * g * g
+        p[r] -= (state.lr * (m[r] / bc1) / (np.sqrt(v[r] / bc2) + EPS)).astype(p.dtype)
 
 
 @dataclass

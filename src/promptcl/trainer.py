@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import typing
 from dataclasses import asdict, dataclass, field, replace
 
@@ -24,7 +25,7 @@ from . import optim
 from . import prompts as pr
 from .encoders import (EncoderConfig, FrozenStack, build_stack, class_name_embed,
                        embed_tokens, lift_features, vision_encode, vit_forward)
-from .featureio import FormatError
+from .featureio import FormatError, unique_keys
 from .rng import Rng
 from .scenario import Task, TaskStream
 
@@ -156,18 +157,22 @@ def _encode_rows(fn, n: int) -> np.ndarray:
                            for i in range(0, max(n, 1), ENCODE_CHUNK)])
 
 
-def _stacked_leaf(arrays: dict, cids) -> ad.Tensor:
-    """One trainable (C, ...) leaf holding the rows of classes ``cids``."""
-    return ad.Tensor(np.stack([arrays[c] for c in cids]), requires_grad=True)
+def _stacked(arrays: dict, cids) -> np.ndarray:
+    """The rows of classes ``cids`` as one (C, ...) array for a stage to train;
+    each class's entry in ``arrays`` becomes a view of its row."""
+    rows = np.stack([arrays[c] for c in cids])
+    for i, c in enumerate(cids):
+        arrays[c] = rows[i]
+    return rows
 
 
-def _row_grads(name: str, cids, leaf: ad.Tensor, used=None) -> dict:
-    """Per-class gradient rows of a stacked leaf; classes not ``used`` get no
-    entry, so Adam leaves them untouched as if they were outside the graph."""
-    if leaf.grad is None:
-        return {}
-    return {f"{name}{c}": leaf.grad[i] for i, c in enumerate(cids)
-            if used is None or used[i]}
+def _leaves(arrays: dict) -> dict:
+    """A trainable leaf over each named array, sharing its memory."""
+    return {name: ad.Tensor(a, requires_grad=True) for name, a in arrays.items()}
+
+
+def _grads(leaves: dict) -> dict:
+    return {name: t.grad for name, t in leaves.items()}
 
 
 def _class_rows(ids, arrays: dict, live_ids=(), live=None):
@@ -189,62 +194,57 @@ def _stage1(state: TrainerState, task: Task, hp: Hyperparams, z_train, rng):
     """Fit first-level prompts of the current classes (keys vs. E_vis query)."""
     books, stack, cfg = state.books, state.stack, state.stack.config
     cids = list(task.class_ids)
-    pos = {cid: i for i, cid in enumerate(cids)}
-    labels_all = np.array([pos[int(y)] for y in task.train_y])
-    past = [books.p[c] for c in books.class_ids if c not in pos]
+    labels_all = np.array([cids.index(int(y)) for y in task.train_y])
+    past = [books.p[c] for c in books.class_ids if c not in cids]
+    arrays = {"p": _stacked(books.p, cids)}
     adam = optim.AdamState(lr=hp.lr1)
     for _ in range(hp.E1):
         for idx in _batches(len(z_train), hp.batch_size, rng.child(("s1", adam.step_count))):
-            p_t = _stacked_leaf(books.p, cids)
-            key_rows = pr.key_tensor(books, stack, state.class_embeds, cids, p_t)
+            params = _leaves(arrays)
+            key_rows = pr.key_tensor(books, stack, state.class_embeds, cids, params["p"])
             loss = ls.ce_stage1(key_rows, z_train[idx], labels_all[idx], cfg.tau)
             if past:
-                loss = ad.add(loss, ad.scale(ls.ortho_first(p_t, past), hp.lambda1))
+                loss = ad.add(loss, ad.scale(ls.ortho_first(params["p"], past), hp.lambda1))
             loss.backward()
-            optim.adam_step(adam, {f"p{c}": books.p[c] for c in cids},
-                            _row_grads("p", cids, p_t))
+            optim.adam_step(adam, arrays, _grads(params))
 
 
 def _stage1_replay(state: TrainerState, task: Task, hp: Hyperparams, rng):
     books, stack, cfg = state.books, state.stack, state.stack.config
-    cids = list(task.class_ids)
-    all_cids = books.class_ids
+    cids, seen = list(task.class_ids), books.class_ids
+    arrays = {"p": _stacked(books.p, cids)}
     adam = optim.AdamState(lr=hp.lr1)
     for ep in range(hp.E2):
-        p_t = _stacked_leaf(books.p, cids)
-        live = pr.key_tensor(books, stack, state.class_embeds, cids, p_t)
-        table, row = _class_rows(all_cids, books.keys, cids, live)
-        key_rows = ad.take(table, [row[c] for c in all_cids])
-        loss = ls.gr_loss_first(key_rows, state.bank1, all_cids, hp.n_replay,
+        params = _leaves(arrays)
+        live = pr.key_tensor(books, stack, state.class_embeds, cids, params["p"])
+        table, row = _class_rows(seen, books.keys, cids, live)
+        key_rows = ad.take(table, [row[c] for c in seen])
+        loss = ls.gr_loss_first(key_rows, state.bank1, seen, hp.n_replay,
                                 cfg.tau, rng.child(("gr1", ep)))
         loss.backward()
-        optim.adam_step(adam, {f"p{c}": books.p[c] for c in cids},
-                        _row_grads("p", cids, p_t))
+        optim.adam_step(adam, arrays, _grads(params))
 
 
-def _conditioned_cls(state: TrainerState, tokens, sel: pr.Selection, live=None,
-                     z_batch=None):
+def _conditioned_cls(state: TrainerState, tokens, sel: pr.Selection, cids=(),
+                     params=None, z=None):
     """CLS features with each query's selected-class conditioning, batched.
 
-    ``live`` = (class ids, Q leaf, A leaf) of the current task's stacked
-    prompts makes the result differentiable w.r.t. them; with ``z_batch``
-    the confidences are rebuilt in the graph so gradient reaches A.
+    ``params`` (as ``stage2_loss`` takes them) supplies the Q and A rows of
+    classes ``cids`` as tensors; the confidences are then rebuilt from the
+    queries ``z`` in the graph, so gradient reaches both.
     """
     books = state.books
-    ids = books.class_ids
-    live_ids, q_live, a_live = live or ((), None, None)
-    q_table, row = _class_rows(ids, books.Q, live_ids, q_live)
+    q_table, row = _class_rows(books.class_ids, books.Q, cids, (params or {}).get("Q"))
     rows = [row[c] for c in sel.class_id]
     cond = ad.take(q_table, rows)
     if books.prefix_tokens:
         return vit_forward(state.stack, tokens=tokens, prefix=cond)
     if state.variant != "no_conf_mod":
-        if a_live is not None and z_batch is not None:
-            a_table, _ = _class_rows(ids, books.A, live_ids, a_live)
+        sim = sel.sim
+        if params is not None:
+            a_table, _ = _class_rows(books.class_ids, books.A, cids, params["A"])
             keys = np.stack([books.keys[c] for c in sel.class_id])
-            sim = pr.weighted_similarity(z_batch, ad.take(a_table, rows), keys)
-        else:
-            sim = sel.sim
+            sim = pr.weighted_similarity(z, ad.take(a_table, rows), keys)
         cond = pr.build_residual(cond, sim)
     return vit_forward(state.stack, tokens=tokens, residuals=cond)
 
@@ -253,50 +253,53 @@ def _select_batch(state: TrainerState, z) -> pr.Selection:
     return pr.select(state.books.keys, z, state.books.A)
 
 
+def stage2_loss(state: TrainerState, cids, params: dict, tokens, z, sel: pr.Selection,
+                labels, lambda2: float) -> ad.Tensor:
+    """One batch's second-stage loss: cross-entropy of the conditioned CLS
+    features under the task's head, plus ``lambda2`` times the orthogonality
+    of the current second-level prompts to the past ones. ``params`` maps
+    ``Q`` and ``A`` (the rows of classes ``cids``) and ``W`` and ``b`` (the
+    task's head columns) to tensors; ``labels`` are positions in ``cids``."""
+    feats = _conditioned_cls(state, tokens, sel, cids, params, z)
+    loss = ls.ce_stage2(params["W"], params["b"], feats, labels)
+    past_qs = [state.books.Q[c] for c in state.books.class_ids if c not in cids]
+    if past_qs:
+        loss = ad.add(loss, ad.scale(ls.ortho_second(params["Q"], past_qs), lambda2))
+    return loss
+
+
 def _stage2(state: TrainerState, task: Task, hp: Hyperparams, tokens, z_train, rng):
     books = state.books
     cids = list(task.class_ids)
-    pos = {cid: i for i, cid in enumerate(cids)}
-    labels_all = np.array([pos[int(y)] for y in task.train_y])
+    labels_all = np.array([cids.index(int(y)) for y in task.train_y])
     state.heads.add_task(task.task_id, cids)
-    head_w, head_b = state.heads.heads[task.task_id]
-    past_qs = [books.Q[c] for c in books.class_ids if c not in pos]
+    arrays = {"Q": _stacked(books.Q, cids), "A": _stacked(books.A, cids)}
+    arrays["W"], arrays["b"] = state.heads.heads[task.task_id]
+    past = len(books.class_ids) > len(cids)
     adam = optim.AdamState(lr=hp.lr2)
-    params = {f"Q{c}": books.Q[c] for c in cids}
-    params.update({f"A{c}": books.A[c] for c in cids})
-    params["head_w"] = head_w
-    params["head_b"] = head_b
     for _ in range(hp.E1):
         for idx in _batches(len(tokens), hp.batch_size, rng.child(("s2", adam.step_count))):
-            q_t = _stacked_leaf(books.Q, cids)
-            a_t = _stacked_leaf(books.A, cids)
-            w_t = ad.Tensor(head_w, requires_grad=True)
-            b_t = ad.Tensor(head_b, requires_grad=True)
+            params = _leaves(arrays)
             z_b = z_train[idx]
             sel = _select_batch(state, z_b)
-            feats = _conditioned_cls(state, tokens[idx], sel, (cids, q_t, a_t), z_b)
-            loss = ls.ce_stage2(w_t, b_t, feats, labels_all[idx])
-            if past_qs:
-                loss = ad.add(loss, ad.scale(ls.ortho_second(q_t, past_qs), hp.lambda2))
+            loss = stage2_loss(state, cids, params, tokens[idx], z_b, sel,
+                               labels_all[idx], hp.lambda2)
             loss.backward()
-            hit = np.isin(cids, sel.class_id)  # current classes some query selected
-            grads = _row_grads("Q", cids, q_t, hit | bool(past_qs))
-            grads.update(_row_grads("A", cids, a_t, hit))
-            grads["head_w"] = w_t.grad
-            grads["head_b"] = b_t.grad
-            optim.adam_step(adam, params, grads)
+            # a current class's A, and without past prompts its Q, moves only
+            # when some query of the batch selected it
+            hit = np.isin(cids, sel.class_id)
+            optim.adam_step(adam, arrays, _grads(params), rows={"Q": hit | past, "A": hit})
 
 
 def _stage2_replay(state: TrainerState, hp: Hyperparams, rng):
-    heads = state.heads
+    arrays = {"W": state.heads.W, "b": state.heads.b}
     adam = optim.AdamState(lr=hp.lr2)
     for ep in range(hp.E2):
-        w = ad.Tensor(heads.W, requires_grad=True)
-        b = ad.Tensor(heads.b, requires_grad=True)
-        loss = ls.gr_loss_second(w, b, state.bank2, heads.classes, hp.n_replay,
-                                 rng.child(("gr2", ep)))
+        params = _leaves(arrays)
+        loss = ls.gr_loss_second(params["W"], params["b"], state.bank2, state.heads.classes,
+                                 hp.n_replay, rng.child(("gr2", ep)))
         loss.backward()
-        optim.adam_step(adam, {"W": heads.W, "b": heads.b}, {"W": w.grad, "b": b.grad})
+        optim.adam_step(adam, arrays, _grads(params))
 
 
 def train_task(state: TrainerState, task: Task, hp: Hyperparams,
@@ -495,14 +498,20 @@ _META_TYPES = {"seed": (int,), "variant": (str, type(None)), "feature_space": (b
                "class_names": (dict,), "encoder": (dict,)}
 
 
+# a class id as save_checkpoint writes it: str(int)
+_CLASS_ID = re.compile(r"0|-?[1-9][0-9]*")
+
+
 def _read_meta(path) -> dict:
     """``trainer.json`` with every key ``load_checkpoint`` uses checked;
-    invalid JSON or a missing or ill-typed key raises FormatError naming the
-    file and the key. Returns the class names keyed by int class id and the
-    encoder entry as an EncoderConfig."""
+    invalid JSON, a key given twice in one object, or a missing or ill-typed
+    key raises FormatError naming the file and the key. Returns the class
+    names keyed by int class id and the encoder entry as an EncoderConfig."""
     try:
         with open(path, "rb") as f:
-            meta = json.load(f)
+            meta = json.load(f, object_pairs_hook=unique_keys(path))
+    except FormatError:
+        raise
     except ValueError as exc:
         raise FormatError(f"{path}: invalid JSON: {exc}") from None
     if type(meta) is not dict:
@@ -517,13 +526,11 @@ def _read_meta(path) -> dict:
         raise FormatError(f"{path}: key 'seed' must be >= 0, got {meta['seed']}")
     if meta["variant"] is not None and meta["variant"] not in VARIANTS:
         raise FormatError(f"{path}: key 'variant' names no variant: {meta['variant']!r}")
-    try:
-        names = {int(k): v for k, v in meta["class_names"].items()}
-    except ValueError:
-        names = None
-    if names is None or not all(type(v) is str and v for v in names.values()):
-        raise FormatError(f"{path}: key 'class_names' must map class ids to nonempty names")
-    meta["class_names"] = names
+    for k, v in meta["class_names"].items():
+        if not _CLASS_ID.fullmatch(k) or type(v) is not str or not v:
+            raise FormatError(f"{path}: key 'class_names' maps '{k}' to {v!r}; it must map "
+                              f"class ids in canonical decimal to nonempty names")
+    meta["class_names"] = {int(k): v for k, v in meta["class_names"].items()}
     enc = meta["encoder"]
     hints = typing.get_type_hints(EncoderConfig)
     if set(enc) != set(hints):

@@ -2,6 +2,7 @@
 each returns or raises FormatError, never another exception."""
 import json
 import math
+import re
 import shutil
 
 import numpy as np
@@ -203,6 +204,9 @@ TRAINER_JSON = [  # (edit of trainer.json's object, key the error names)
     (lambda m: m["encoder"].update(heads=3), "encoder"),
     (lambda m: m["encoder"].update(tau=math.inf), "tau"),
     (lambda m: m["class_names"].update({"9": "eel"}), "class_names"),  # no such class
+    # int() accepts each of these, but save_checkpoint writes str(int(id))
+    *[(lambda m, k=k: m["class_names"].update({k: "eel"}), k)
+      for k in ("04", "+4", " 4", "4_0", "-0")],
 ]
 
 
@@ -215,8 +219,36 @@ def test_trainer_json_names_file_and_key(tmp_path, edit, key):
     meta = json.loads(meta_path.read_text())
     edit(meta)
     meta_path.write_text(json.dumps(meta))
-    with pytest.raises(FormatError, match=rf"trainer\.json: .*'{key}'"):
+    with pytest.raises(FormatError, match=rf"trainer\.json: .*'{re.escape(key)}'"):
         tr.load_checkpoint(tmp_path)
+
+
+REPEATED = [  # (text in trainer.json, the text that repeats a key there, that key)
+    ('"seed": 0', '"seed": 3,\n  "seed": 4', "seed"),
+    ('"4": "cat"', '"4": "cat",\n    "4": "eel"', "4"),
+    ('"d": 4,', '"d": 4,\n    "d": 8,', "d"),
+]
+
+
+@pytest.mark.parametrize("old, new, key", REPEATED, ids=[k for *_, k in REPEATED])
+def test_trainer_json_key_given_twice_is_named(tmp_path, old, new, key):
+    _trainer_checkpoint(tmp_path)
+    meta_path = tmp_path / "trainer.json"
+    text = meta_path.read_text()
+    assert old in text
+    meta_path.write_text(text.replace(old, new))
+    with pytest.raises(FormatError, match=rf"trainer\.json: key '{key}' is given twice"):
+        tr.load_checkpoint(tmp_path)
+
+
+def test_archive_entry_given_twice_is_named(tmp_path):
+    path = tmp_path / "twice.bin"
+    write_archive(path, b"STARTEST", {"a": np.zeros(2), "b": np.ones(2)})
+    raw = path.read_bytes()
+    name_b = raw.index(b"b" + b"f8")  # the second entry's name, just before its dtype
+    path.write_bytes(raw[:name_b] + b"a" + raw[name_b + 1:])
+    with pytest.raises(FormatError, match=r"twice\.bin: entry 'a' is given twice"):
+        read_archive(path, b"STARTEST")
 
 
 @pytest.mark.parametrize("text", [b'{"seed": 0,', b"\xff\xfe{}", b"", b"[1, 2]"])

@@ -89,10 +89,9 @@ def test_conditioned_cls_nodes_do_not_grow_with_batch(count_nodes):
         z = enc.vision_encode(state.stack, x)
         tokens = enc.embed_tokens(state.stack, x)
         sel = tr._select_batch(state, z)
-        q_t = tr._stacked_leaf(books.Q, cids)
-        a_t = tr._stacked_leaf(books.A, cids)
+        live = tr._leaves({"Q": tr._stacked(books.Q, cids), "A": tr._stacked(books.A, cids)})
         counts.append(count_nodes(
-            lambda: tr._conditioned_cls(state, tokens, sel, (cids, q_t, a_t), z)))
+            lambda: tr._conditioned_cls(state, tokens, sel, cids, live, z)))
     assert counts[0] == counts[1]
 
 

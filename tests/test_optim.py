@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from promptcl import autodiff as ad
 from promptcl.optim import AdamState, GradientError, adam_step, grad_check
@@ -74,3 +76,38 @@ def test_grad_check_log_softmax_l2_normalize():
 
     report = grad_check(fn, {"x": x0}, tol=1e-4)
     assert report.passed
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(n_rows=st.integers(1, 5), shape=st.lists(st.integers(1, 3), min_size=1, max_size=2),
+       masks=st.lists(st.lists(st.booleans(), min_size=5, max_size=5), min_size=3,
+                      max_size=8),
+       seed=st.integers(0, 2**16), lr=st.sampled_from((0.001, 0.05, 0.3)))
+def test_row_mask_matches_one_parameter_per_row(n_rows, shape, masks, seed, lr):
+    # lazy Adam on a stacked array against the scheme it replaces: each row a
+    # parameter of its own, with a gradient entry only when its row is masked in
+    rng = np.random.Generator(np.random.Philox(seed))
+    init = rng.standard_normal((n_rows, *shape)).astype(np.float32)
+    masks = [np.array(m[:n_rows]) for m in masks]
+    masks[0][-1] = masks[1][-1] = False  # the last row is first touched at step 3
+    masks[2][-1] = True
+    stacked, per_row = AdamState(lr=lr), AdamState(lr=lr)
+    whole = init.copy()
+    rows = {f"r{i}": init[i].copy() for i in range(n_rows)}
+    for mask in masks:
+        g = (rng.standard_normal(init.shape) * 10.0 ** rng.integers(-3, 3)).astype(np.float32)
+        adam_step(stacked, {"P": whole}, {"P": g}, rows={"P": mask})
+        adam_step(per_row, rows, {f"r{i}": g[i] for i in range(n_rows) if mask[i]})
+    for i in range(n_rows):
+        assert whole[i].tobytes() == rows[f"r{i}"].tobytes()
+        for moments in ("m", "v"):
+            ref = getattr(per_row, moments).get(f"r{i}", np.zeros_like(init[i]))
+            assert getattr(stacked, moments)["P"][i].tobytes() == ref.tobytes()
+
+
+def test_missing_or_none_gradient_leaves_param_and_moments_alone():
+    state = AdamState(lr=0.1)
+    w = np.ones(2, np.float32)
+    adam_step(state, {"w": w, "u": np.ones(1, np.float32)}, {"w": None})
+    np.testing.assert_array_equal(w, 1.0)
+    assert state.m == {} and state.step_count == 1
