@@ -6,7 +6,7 @@ The primitives are exactly the ops the program builds: ``add``, ``mul``,
 ``concat``, ``stack``, ``swapaxes``, ``reshape``, ``take`` and ``slice_axis``,
 and ``frozen_block``, a whole frozen transformer block as one node.
 ``cli.gradcheck_suite`` checks this same set against finite differences, in
-random compositions and in the trainer's own loss, ``trainer.stage2_loss``.
+random compositions and in the trainer's own losses, one per training stage.
 
 Graphs are built eagerly and single-threaded; ``backward`` walks the tape in
 reverse topological order exactly once. A tensor's precision follows its data:

@@ -19,6 +19,8 @@ import numpy as np
 
 from . import PromptclError
 from . import autodiff as ad
+from . import gmm
+from . import losses as ls
 from . import metrics as mt
 from . import optim
 from . import scenario as sc
@@ -310,46 +312,82 @@ def _random_graph_check(seed: int) -> float:
 STAGE2_VARIANTS = (None, "prefix_tuning", "no_conf_mod")
 
 
-def _stage2_check(variant) -> float:
-    """FD-check ``trainer.stage2_loss`` under ``variant`` on a two-task state
-    of random arrays; the batch selects both current classes and a past one,
-    whose rows enter as constants."""
-    cfg, rng, cids = replace(_ORACLE_ENCODER, L=2), Rng(12), [2, 3]
+def _oracle_state(variant=None):
+    """A two-task state of random arrays on a 2-block copy of the oracle's
+    stack, 3 queries near classes 2, 3 and 0, and their tokens. Task 0 owns
+    classes 0 and 1, task 1 (the current task) classes 2 and 3; every class
+    has a prompt, a key, query weights, a second-level prompt, a name, a
+    2-component mixture in each bank and a column of the head."""
+    cfg, rng = replace(_ORACLE_ENCODER, L=2), Rng(12)
     state = tr.new_state(cfg, seed=11, variant=variant)
-    books = state.books
+    books, heads = state.books, state.heads
     keys = rng.normal((4, cfg.d))
     keys /= np.linalg.norm(keys, axis=1, keepdims=True)
-    z = keys[[2, 3, 0]] + rng.normal((3, cfg.d), std=0.2)  # near classes 2, 3 and 0
+    z = keys[[2, 3, 0]] + rng.normal((3, cfg.d), std=0.2)
     z /= np.linalg.norm(z, axis=1, keepdims=True)
-    for c in range(4):  # task 0 owns classes 0 and 1, task 1 classes 2 and 3
+    for c in range(4):
         books.task_of[c], books.keys[c] = c // 2, keys[c]
         books.A[c] = 1.0 + rng.normal((cfg.d,), std=0.3)
         books.Q[c] = rng.normal(books.q_shape(), std=0.5)
+        books.p[c] = rng.normal((cfg.d,), std=0.5)
+        state.bank1[c], state.bank2[c] = (
+            gmm.MoG(weights=np.array([0.4, 0.6]), means=rng.normal((2, dim), dtype=np.float64),
+                    covs=rng.uniform((2, dim), 0.2, 1.0, dtype=np.float64))
+            for dim in (cfg.d, cfg.d_prime))
+    tr._register_names(state, range(4), None)
+    heads.add_task(0, [0, 1])
+    heads.add_task(1, [2, 3])
+    heads.W[:], heads.b[:] = rng.normal(heads.W.shape), rng.normal(heads.b.shape, std=0.1)
+    return state, z, embed_tokens(state.stack, rng.normal((3, cfg.patches, cfg.patch_dim)))
+
+
+def _stage2_oracle(variant, cids, labels):
+    """``trainer.stage2_loss`` under ``variant`` on ``_oracle_state``, and
+    its params: the current classes' rows and head columns."""
+    state, z, tokens = _oracle_state(variant)
     sel = tr._select_batch(state, z)
-    tokens = embed_tokens(state.stack, rng.normal((3, cfg.patches, cfg.patch_dim)))
-    params = {"Q": np.stack([books.Q[c] for c in cids]), "A": np.stack([books.A[c] for c in cids]),
-              "W": rng.normal((cfg.d_prime, 2)), "b": rng.normal((2,), std=0.1)}
-    return optim.grad_check(
-        lambda p: tr.stage2_loss(state, cids, p, tokens, z, sel, [0, 1, 1], 0.5),
-        {k: v.astype(np.float64) for k, v in params.items()}, tol=1e-3, h=1e-5).max_rel_err
+    W, b = state.heads.heads[1]
+    params = {"Q": np.stack([state.books.Q[c] for c in cids]),
+              "A": np.stack([state.books.A[c] for c in cids]), "W": W, "b": b}
+    return lambda p: tr.stage2_loss(state, cids, p, tokens, z, sel, labels, 0.5), params
+
+
+def _oracle_losses() -> dict:
+    """line label -> (loss over a name -> tensor dict, its float32 params)
+    for each training loss on ``_oracle_state``: stage 1, key replay, stage 2
+    under each of ``STAGE2_VARIANTS`` and head replay. Stage 2's batch
+    selects both current classes and a past one, whose rows enter as
+    constants; each replay loss draws 3 rows per class from a fixed ``Rng``,
+    so every call sees the same rows."""
+    cids, labels = [2, 3], [0, 1, 1]
+    state, z, _ = _oracle_state()
+    heads, p = state.heads, {"p": np.stack([state.books.p[c] for c in cids])}
+    out = {"stage-1 loss": (lambda prm: tr.stage1_loss(state, cids, prm, z, labels, 0.5), p),
+           "key-replay loss": (lambda prm: tr.key_replay_loss(state, cids, prm, 3, Rng(14)), p)}
+    for variant in STAGE2_VARIANTS:
+        out[f"stage-2 loss, {variant or 'full'}"] = _stage2_oracle(variant, cids, labels)
+    out["head-replay loss"] = (
+        lambda prm: ls.gr_loss_second(prm["W"], prm["b"], state.bank2, heads.classes, 3, Rng(15)),
+        {"W": heads.W, "b": heads.b})
+    return out
 
 
 def gradcheck_suite(n_graphs: int = 100, verbose: bool = False):
-    """Reverse-mode vs central differences; returns (worst graph err, stage-2
-    err), the latter the worst of ``trainer.stage2_loss`` under each of
-    ``STAGE2_VARIANTS``."""
+    """Reverse-mode vs central differences; returns (worst graph err, worst
+    loss err), the latter over every training loss of ``_oracle_losses``,
+    each differentiated in float64."""
     worst = 0.0
     for i in range(n_graphs):
         err = _random_graph_check(1000 + i)
         worst = max(worst, err)
         if verbose and (i + 1) % 25 == 0:
             print(f"  {i + 1}/{n_graphs} graphs, max rel err {worst:.3g}")
-    stage2 = {variant or "full": _stage2_check(variant) for variant in STAGE2_VARIANTS}
+    errs = {label: optim.grad_check(fn, params, tol=1e-3, h=1e-5).max_rel_err
+            for label, (fn, params) in _oracle_losses().items()}
     if verbose:
-        for name, err in stage2.items():
-            print(f"  stage-2 loss, {name}: max rel err {err:.3g} (tol 1e-3) "
-                  f"{'ok' if err < 1e-3 else 'FAIL'}")
-    return worst, max(stage2.values())
+        for label, err in errs.items():
+            print(f"  {label}: max rel err {err:.3g} (tol 1e-3) {'ok' if err < 1e-3 else 'FAIL'}")
+    return worst, max(errs.values())
 
 
 # ---------------------------------------------------------------------------
@@ -417,8 +455,8 @@ def _cmd_diag(args) -> int:
 def _cmd_gradcheck(args) -> int:
     if args.graphs < 1:
         raise ConfigError(f"--graphs must be >= 1, got {args.graphs}")
-    worst, stage2 = gradcheck_suite(n_graphs=args.graphs, verbose=True)
-    ok = worst < 1e-4 and stage2 < 1e-3
+    worst, losses = gradcheck_suite(n_graphs=args.graphs, verbose=True)
+    ok = worst < 1e-4 and losses < 1e-3
     print(f"composite graphs: max rel err {worst:.3g} (tol 1e-4)")
     print("PASS" if ok else "FAIL")
     return 0 if ok else 1

@@ -72,9 +72,11 @@ def grad_check(fn, params: dict, tol: float = 1e-4, h: float = 1e-3) -> GradChec
 
     ``fn(params) -> scalar Tensor`` must rebuild its graph from the given
     name -> numpy array mapping on every call. The comparison runs in float64
-    so the finite-difference oracle is not limited by storage precision.
+    so the finite-difference oracle is not limited by storage precision, on a
+    private C-contiguous copy of each parameter: the caller's arrays, whatever
+    their layout, are never perturbed.
     """
-    params64 = {k: np.asarray(v, dtype=np.float64) for k, v in params.items()}
+    params64 = {k: np.array(v, dtype=np.float64, order="C") for k, v in params.items()}
     tensors = {k: ad.Tensor(v, requires_grad=True) for k, v in params64.items()}
     loss = fn(tensors)
     loss.backward()

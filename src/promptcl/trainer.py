@@ -10,6 +10,7 @@ Task identity is never used at prediction time.
 from __future__ import annotations
 
 import json
+import numbers
 import os
 import re
 import typing
@@ -58,11 +59,14 @@ class Hyperparams:
 
     def __post_init__(self):
         for name in ("E1", "E2", "M", "n_replay", "batch_size"):
-            if getattr(self, name) < 1:
-                raise TrainerError(f"{name} must be positive")
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+                raise TrainerError(f"'{name}' must be an int >= 1, got {value!r}")
         for name in ("lambda1", "lambda2", "lr1", "lr2"):
-            if getattr(self, name) <= 0:
-                raise TrainerError(f"{name} must be positive")
+            value = getattr(self, name)
+            real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+            if not (real and 0 < value < np.inf):
+                raise TrainerError(f"'{name}' must be positive and finite, got {value!r}")
 
 
 # per-dataset settings from the published supplementary tables, plus a
@@ -130,10 +134,13 @@ def _register_names(state: TrainerState, class_ids, names: dict | None):
         state.class_embeds[cid] = class_name_embed(name, state.stack.config)
 
 
-def _batches(n, batch_size, rng):
-    order = rng.permutation(n)
-    for start in range(0, n, batch_size):
-        yield order[start:start + batch_size]
+def _batches(n, batch_size, epochs, rng, tag):
+    """``epochs`` shuffled passes; each is ordered by ``rng``'s child keyed (tag, first step)."""
+    per_epoch = -(-n // batch_size)
+    for ep in range(epochs):
+        order = rng.child((tag, ep * per_epoch)).permutation(n)
+        for start in range(0, n, batch_size):
+            yield order[start:start + batch_size]
 
 
 def _handcrafted_context(d: int) -> np.ndarray:
@@ -171,8 +178,19 @@ def _leaves(arrays: dict) -> dict:
     return {name: ad.Tensor(a, requires_grad=True) for name, a in arrays.items()}
 
 
-def _grads(leaves: dict) -> dict:
-    return {name: t.grad for name, t in leaves.items()}
+def _descend(arrays: dict, lr: float, steps, loss_of) -> None:
+    """Adam descent on ``arrays`` in place, one update per item of ``steps``.
+
+    Each step makes a trainable leaf over every array, and ``loss_of(params,
+    step)`` returns the loss and the row masks ``optim.adam_step`` takes (or
+    None). The loss is differentiated and Adam moves the arrays.
+    """
+    adam = optim.AdamState(lr=lr)
+    for step in steps:
+        params = _leaves(arrays)
+        loss, rows = loss_of(params, step)
+        loss.backward()
+        optim.adam_step(adam, arrays, {name: t.grad for name, t in params.items()}, rows)
 
 
 def _class_rows(ids, arrays: dict, live_ids=(), live=None):
@@ -190,39 +208,49 @@ def _class_rows(ids, arrays: dict, live_ids=(), live=None):
     return table, row
 
 
+def stage1_loss(state: TrainerState, cids, params: dict, z, labels,
+                lambda1: float) -> ad.Tensor:
+    """One batch's first-stage loss: cross-entropy of the queries ``z``
+    against the keys of classes ``cids``, plus ``lambda1`` times the
+    orthogonality of their prompts to the past ones. ``params`` maps ``p``
+    (the prompts of ``cids``) to a tensor; ``labels`` are positions in ``cids``."""
+    books = state.books
+    key_rows = pr.key_tensor(books, state.stack, state.class_embeds, cids, params["p"])
+    loss = ls.ce_stage1(key_rows, z, labels, state.stack.config.tau)
+    past = [books.p[c] for c in books.class_ids if c not in cids]
+    if past:
+        loss = ad.add(loss, ad.scale(ls.ortho_first(params["p"], past), lambda1))
+    return loss
+
+
+def key_replay_loss(state: TrainerState, cids, params: dict, n_replay: int,
+                    rng: Rng) -> ad.Tensor:
+    """First-stage replay loss: ``n_replay`` rows drawn from each seen
+    class's bank-1 mixture with ``rng``, scored against every seen key. The
+    keys of classes ``cids`` come from the prompts ``params["p"]``, the rest
+    are constants."""
+    books = state.books
+    live = pr.key_tensor(books, state.stack, state.class_embeds, cids, params["p"])
+    table, row = _class_rows(books.class_ids, books.keys, cids, live)
+    key_rows = ad.take(table, [row[c] for c in books.class_ids])
+    return ls.gr_loss_first(key_rows, state.bank1, books.class_ids, n_replay,
+                            state.stack.config.tau, rng)
+
+
 def _stage1(state: TrainerState, task: Task, hp: Hyperparams, z_train, rng):
     """Fit first-level prompts of the current classes (keys vs. E_vis query)."""
-    books, stack, cfg = state.books, state.stack, state.stack.config
     cids = list(task.class_ids)
-    labels_all = np.array([cids.index(int(y)) for y in task.train_y])
-    past = [books.p[c] for c in books.class_ids if c not in cids]
-    arrays = {"p": _stacked(books.p, cids)}
-    adam = optim.AdamState(lr=hp.lr1)
-    for _ in range(hp.E1):
-        for idx in _batches(len(z_train), hp.batch_size, rng.child(("s1", adam.step_count))):
-            params = _leaves(arrays)
-            key_rows = pr.key_tensor(books, stack, state.class_embeds, cids, params["p"])
-            loss = ls.ce_stage1(key_rows, z_train[idx], labels_all[idx], cfg.tau)
-            if past:
-                loss = ad.add(loss, ad.scale(ls.ortho_first(params["p"], past), hp.lambda1))
-            loss.backward()
-            optim.adam_step(adam, arrays, _grads(params))
+    labels = np.array([cids.index(int(y)) for y in task.train_y])
+    _descend({"p": _stacked(state.books.p, cids)}, hp.lr1,
+             _batches(len(z_train), hp.batch_size, hp.E1, rng, "s1"),
+             lambda p, i: (stage1_loss(state, cids, p, z_train[i], labels[i], hp.lambda1), None))
 
 
 def _stage1_replay(state: TrainerState, task: Task, hp: Hyperparams, rng):
-    books, stack, cfg = state.books, state.stack, state.stack.config
-    cids, seen = list(task.class_ids), books.class_ids
-    arrays = {"p": _stacked(books.p, cids)}
-    adam = optim.AdamState(lr=hp.lr1)
-    for ep in range(hp.E2):
-        params = _leaves(arrays)
-        live = pr.key_tensor(books, stack, state.class_embeds, cids, params["p"])
-        table, row = _class_rows(seen, books.keys, cids, live)
-        key_rows = ad.take(table, [row[c] for c in seen])
-        loss = ls.gr_loss_first(key_rows, state.bank1, seen, hp.n_replay,
-                                cfg.tau, rng.child(("gr1", ep)))
-        loss.backward()
-        optim.adam_step(adam, arrays, _grads(params))
+    cids = list(task.class_ids)
+    _descend({"p": _stacked(state.books.p, cids)}, hp.lr1, range(hp.E2),
+             lambda p, ep: (key_replay_loss(state, cids, p, hp.n_replay,
+                                            rng.child(("gr1", ep))), None))
 
 
 def _conditioned_cls(state: TrainerState, tokens, sel: pr.Selection, cids=(),
@@ -271,35 +299,27 @@ def stage2_loss(state: TrainerState, cids, params: dict, tokens, z, sel: pr.Sele
 def _stage2(state: TrainerState, task: Task, hp: Hyperparams, tokens, z_train, rng):
     books = state.books
     cids = list(task.class_ids)
-    labels_all = np.array([cids.index(int(y)) for y in task.train_y])
+    labels = np.array([cids.index(int(y)) for y in task.train_y])
     state.heads.add_task(task.task_id, cids)
     arrays = {"Q": _stacked(books.Q, cids), "A": _stacked(books.A, cids)}
     arrays["W"], arrays["b"] = state.heads.heads[task.task_id]
     past = len(books.class_ids) > len(cids)
-    adam = optim.AdamState(lr=hp.lr2)
-    for _ in range(hp.E1):
-        for idx in _batches(len(tokens), hp.batch_size, rng.child(("s2", adam.step_count))):
-            params = _leaves(arrays)
-            z_b = z_train[idx]
-            sel = _select_batch(state, z_b)
-            loss = stage2_loss(state, cids, params, tokens[idx], z_b, sel,
-                               labels_all[idx], hp.lambda2)
-            loss.backward()
-            # a current class's A, and without past prompts its Q, moves only
-            # when some query of the batch selected it
-            hit = np.isin(cids, sel.class_id)
-            optim.adam_step(adam, arrays, _grads(params), rows={"Q": hit | past, "A": hit})
+
+    def loss_of(params, idx):
+        z_b = z_train[idx]
+        sel = _select_batch(state, z_b)
+        # only classes some query selected move their A (and, with no past prompts, their Q)
+        hit = np.isin(cids, sel.class_id)
+        return (stage2_loss(state, cids, params, tokens[idx], z_b, sel, labels[idx], hp.lambda2),
+                {"Q": hit | past, "A": hit})
+
+    _descend(arrays, hp.lr2, _batches(len(tokens), hp.batch_size, hp.E1, rng, "s2"), loss_of)
 
 
 def _stage2_replay(state: TrainerState, hp: Hyperparams, rng):
-    arrays = {"W": state.heads.W, "b": state.heads.b}
-    adam = optim.AdamState(lr=hp.lr2)
-    for ep in range(hp.E2):
-        params = _leaves(arrays)
-        loss = ls.gr_loss_second(params["W"], params["b"], state.bank2, state.heads.classes,
-                                 hp.n_replay, rng.child(("gr2", ep)))
-        loss.backward()
-        optim.adam_step(adam, arrays, _grads(params))
+    _descend({"W": state.heads.W, "b": state.heads.b}, hp.lr2, range(hp.E2),
+             lambda p, ep: (ls.gr_loss_second(p["W"], p["b"], state.bank2, state.heads.classes,
+                                              hp.n_replay, rng.child(("gr2", ep))), None))
 
 
 def train_task(state: TrainerState, task: Task, hp: Hyperparams,

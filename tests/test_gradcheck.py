@@ -1,14 +1,22 @@
-"""What ``promptcl gradcheck`` checks: its stage-2 value differentiates the
-trainer's own loss, query weights included, and every graph node it builds
-lies inside a function that finite differences compare."""
+"""What ``promptcl gradcheck`` checks: it differentiates the trainer's own
+losses (stage 1, key replay, stage 2 with its query weights, head replay),
+each check fails when its gradient path is cut, every graph node it builds
+lies inside a function that finite differences compare, and every node that
+training differentiates is built inside one of those losses."""
 import numpy as np
 import pytest
+from test_oracle_coverage import _train_and_predict_every_variant
 
 from promptcl import autodiff as ad
 from promptcl import cli, optim
+from promptcl import losses as ls
 from promptcl import prompts as pr
 from promptcl import trainer as tr
 from promptcl.rng import Rng
+
+# one printed line per training loss, in training order
+LOSS_LINES = ("stage-1 loss", "key-replay loss", "stage-2 loss, full",
+              "stage-2 loss, prefix_tuning", "stage-2 loss, no_conf_mod", "head-replay loss")
 
 
 @pytest.fixture
@@ -20,20 +28,73 @@ def detached_query_weights(monkeypatch):
                         lambda z, A, w: real(z, ad.constant(A.data), w))
 
 
+@pytest.fixture
+def detached_prompt_keys(monkeypatch):
+    """``prompts.key_tensor`` with the prompts cut out of the graph, as if the
+    keys did not depend on them."""
+    real = pr.key_tensor
+    monkeypatch.setattr(pr, "key_tensor", lambda books, stack, embeds, cids, p=None: real(
+        books, stack, embeds, cids, None if p is None else ad.constant(p.data)))
+
+
+@pytest.fixture
+def detached_head_weights(monkeypatch):
+    """``losses.gr_loss_second`` with the head's ``W`` cut out of the graph."""
+    real = ls.gr_loss_second
+    monkeypatch.setattr(ls, "gr_loss_second",
+                        lambda w, b, *args: real(ad.constant(w.data), b, *args))
+
+
+def _verdicts(capsys):
+    """The printed verdict of each loss line, and the last line."""
+    lines = capsys.readouterr().out.splitlines()
+    return {line.split(":")[0].strip(): line.split()[-1] for line in lines
+            if line.split(":")[0].strip() in LOSS_LINES}, lines[-1]
+
+
+def _fails_only(failing, capsys):
+    assert cli.main(["gradcheck", "--graphs", "1"]) == 1
+    verdicts, last = _verdicts(capsys)
+    assert verdicts == {line: "FAIL" if line in failing else "ok" for line in LOSS_LINES}
+    assert last == "FAIL"
+
+
 def test_detached_query_weights_fail_the_stage2_check(detached_query_weights):
-    worst, stage2 = cli.gradcheck_suite(n_graphs=1)
+    worst, losses = cli.gradcheck_suite(n_graphs=1)
     assert worst < 1e-4
-    assert stage2 > 1e-3
+    assert losses > 1e-3
 
 
 def test_gradcheck_names_the_failing_variant(detached_query_weights, capsys):
-    assert cli.main(["gradcheck", "--graphs", "1"]) == 1
-    lines = capsys.readouterr().out.splitlines()
-    verdicts = {line.split(":")[0].strip(): line.split()[-1] for line in lines
-                if line.lstrip().startswith("stage-2 loss, ")}
-    assert verdicts == {"stage-2 loss, full": "FAIL", "stage-2 loss, prefix_tuning": "ok",
-                        "stage-2 loss, no_conf_mod": "ok"}
-    assert lines[-1] == "FAIL"
+    _fails_only({"stage-2 loss, full"}, capsys)
+
+
+@pytest.mark.parametrize("cut, failing", [
+    ("detached_prompt_keys", {"stage-1 loss", "key-replay loss"}),
+    ("detached_head_weights", {"head-replay loss"}),
+])
+def test_gradcheck_fails_each_loss_whose_path_is_cut(cut, failing, request, capsys):
+    request.getfixturevalue(cut)
+    _fails_only(failing, capsys)
+
+
+@pytest.mark.parametrize("line", LOSS_LINES)
+def test_float32_gradients_stay_near_float64(line):
+    # training runs in float32 and the oracle in float64, so a fault that
+    # only float32 shows would pass the oracle: bound the gap between the
+    # two gradients (all of the loss's parameters as one vector)
+    fn, params = cli._oracle_losses()[line]
+    grads = {}
+    for dtype in (np.float32, np.float64):
+        leaves = {k: ad.Tensor(v.astype(dtype), requires_grad=True) for k, v in params.items()}
+        loss = fn(leaves)
+        assert loss.data.dtype == dtype
+        loss.backward()
+        # A is not read under prefix_tuning
+        grads[dtype] = np.concatenate([t.grad.ravel() for t in leaves.values() if t.grad is not None])
+    g32, g64 = grads[np.float32], grads[np.float64]
+    gap = np.linalg.norm(g32 - g64) / np.linalg.norm(g64)
+    assert gap < 1e-5, f"{line}: float32 gradient off by {gap:.2g}"
 
 
 def test_every_node_is_built_inside_a_differentiated_function(monkeypatch):
@@ -91,3 +152,37 @@ def test_stage2_loss_reads_current_rows_from_params():
     state.books.Q[0] += 1.0
     state.books.A[1] *= 2.0
     assert loss() == before
+
+
+def test_every_trained_node_is_built_inside_a_public_loss(monkeypatch):
+    # the losses gradcheck differentiates are the only places training
+    # builds nodes that carry gradient; forward-only work (keys, queries,
+    # conditioned features) builds constants
+    depth, outside, inside = [0], [], [0]
+    real_make = ad._make
+
+    def make(out, parents, backward, op):
+        t = real_make(out, parents, backward, op)
+        if t.requires_grad:
+            if depth[0]:
+                inside[0] += 1
+            else:
+                outside.append(op)
+        return t
+
+    def counted(fn):
+        def wrapper(*args, **kw):
+            depth[0] += 1
+            try:
+                return fn(*args, **kw)
+            finally:
+                depth[0] -= 1
+        return wrapper
+
+    monkeypatch.setattr(ad, "_make", make)
+    for owner, name in ((tr, "stage1_loss"), (tr, "key_replay_loss"), (tr, "stage2_loss"),
+                        (ls, "gr_loss_second")):
+        monkeypatch.setattr(owner, name, counted(getattr(owner, name)))
+    _train_and_predict_every_variant()
+    assert outside == []
+    assert inside[0] > 0

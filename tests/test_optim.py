@@ -78,6 +78,16 @@ def test_grad_check_log_softmax_l2_normalize():
     assert report.passed
 
 
+def test_grad_check_does_not_depend_on_the_callers_layout():
+    # a transposed float64 view is not C-contiguous: perturbing a flat copy of
+    # it, which the loss never reads, would make every difference 0
+    x = np.arange(6.0).reshape(2, 3).T
+    before = x.copy()
+    report = grad_check(lambda t: ad.rsum(ad.mul(t["x"], t["x"])), {"x": x})
+    assert report.max_rel_err < 1e-8
+    np.testing.assert_array_equal(x, before)
+
+
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(n_rows=st.integers(1, 5), shape=st.lists(st.integers(1, 3), min_size=1, max_size=2),
        masks=st.lists(st.lists(st.booleans(), min_size=5, max_size=5), min_size=3,

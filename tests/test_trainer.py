@@ -64,6 +64,16 @@ def test_hyperparams_validation():
         tr.Hyperparams(0, 1, 1, 1, 1, 1, 1, 1, 1)
     with pytest.raises(tr.TrainerError):
         tr.Hyperparams(1, 1, -1, 1, 1, 1, 1, 1, 1)
+    # values that cannot train: each would fail mid-training or with a TypeError
+    for field, value in [("lr1", float("nan")), ("lr2", float("inf")), ("lr1", 0.0),
+                         ("lambda1", -float("inf")), ("lambda2", float("inf")),
+                         ("lambda1", True), ("lr2", "0.01"), ("E1", 2.5), ("E2", 0),
+                         ("M", True), ("n_replay", "8"), ("batch_size", float("nan"))]:
+        with pytest.raises(tr.TrainerError, match=f"'{field}' must be"):
+            replace(tr.preset("synthetic"), **{field: value})
+    # numpy scalars are numbers too
+    hp = replace(tr.preset("synthetic"), E1=np.int64(2), lr1=np.float32(0.05))
+    assert (hp.E1, hp.lr1) == (2, np.float32(0.05))
 
 
 def test_variant_validation():
