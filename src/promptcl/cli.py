@@ -178,9 +178,8 @@ def build_experiment(cfg: dict) -> ExperimentConfig:
     encoder = EncoderConfig(**given["encoder"])
     scen_kwargs = given["scenario"]
     # raw inputs are sized for the encoder so samples run the full vision path
-    if scen_kwargs.get("kind") != "feature-file":
-        scen_kwargs["patches"] = encoder.patches
-        scen_kwargs["patch_dim"] = encoder.patch_dim
+    scen_kwargs["patches"] = encoder.patches
+    scen_kwargs["patch_dim"] = encoder.patch_dim
     scenario = sc.ScenarioSpec(**scen_kwargs)
     hp_kwargs = given["training"]
     hp = replace(tr.preset(hp_kwargs.pop("preset", DEFAULT_PRESET)), **hp_kwargs)
@@ -218,8 +217,7 @@ def run_experiment(config: ExperimentConfig, write=True,
     report = RunReport(variant=config.variant)
     for seed in config.seeds:
         stream = sc.permute_classes(base, seed) if len(base.tasks) > 1 else base
-        state = tr.new_state(config.encoder, seed=seed, variant=config.variant,
-                             feature_space=stream.feature_space)
+        state = tr.new_state(config.encoder, seed=seed, variant=config.variant)
         matrix = mt.AccuracyMatrix(len(stream.tasks))
         curve = []
         # each test set is encoded once and re-predicted after every later task

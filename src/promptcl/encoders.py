@@ -100,7 +100,6 @@ class FrozenStack:
     main_patch: np.ndarray = None
     main_pos: np.ndarray = None
     main_cls: np.ndarray = None
-    lift: np.ndarray = None  # d -> patches*patch_dim, for ingesting precomputed features
 
     def all_arrays(self):
         for group in (self.text_blocks, self.vis_blocks, self.main_blocks):
@@ -109,7 +108,7 @@ class FrozenStack:
                     yield blk[k]
         for arr in (self.text_pos, self.text_out, self.vis_patch, self.vis_pos,
                     self.vis_cls, self.vis_out, self.main_patch, self.main_pos,
-                    self.main_cls, self.lift):
+                    self.main_cls):
             yield arr
 
 
@@ -141,8 +140,6 @@ def build_stack(config: EncoderConfig, seed: int) -> FrozenStack:
         main_patch=mr.child("patch").normal((config.patch_dim, dp), std=1.0 / np.sqrt(config.patch_dim)),
         main_pos=mr.child("pos").normal((config.seq_len, dp), std=0.02),
         main_cls=mr.child("cls").normal((dp,), std=0.02),
-        lift=root.child("lift").normal((d, config.patches * config.patch_dim),
-                                       std=1.0 / np.sqrt(d)),
     )
 
 
@@ -201,16 +198,6 @@ def embed_tokens(stack: FrozenStack, x) -> np.ndarray:
     emb = np.matmul(x, stack.main_patch)
     cls = np.broadcast_to(stack.main_cls, x.shape[:-2] + (1, cfg.d_prime))
     return np.concatenate([cls, emb], axis=-2) + stack.main_pos
-
-
-def lift_features(stack: FrozenStack, z) -> np.ndarray:
-    """Deterministically lift d-dim feature rows to raw token grids."""
-    cfg = stack.config
-    z = np.asarray(z, dtype=np.float32)
-    if z.shape[-1] != cfg.d:
-        raise ad.ShapeError(f"lift_features: feature rows are {z.shape[-1]} wide, expected d = {cfg.d}")
-    flat = z @ stack.lift
-    return flat.reshape(z.shape[:-1] + (cfg.patches, cfg.patch_dim))
 
 
 def vit_forward(stack: FrozenStack, x=None, residuals=None, tokens=None,

@@ -2,6 +2,8 @@
 
 Tasks carry disjoint class id sets; inputs are raw token grids
 (patches x patch_dim) so every sample runs through the full vision path.
+A feature file's rows become grids through a fixed linear map drawn from
+the scenario seed.
 """
 
 from dataclasses import dataclass, field
@@ -65,7 +67,6 @@ class Task:
 class TaskStream:
     tasks: list = field(default_factory=list)
     class_names: dict = field(default_factory=dict)
-    feature_space: bool = False  # rows are flat features needing a lift
 
 
 def _class_centers(rng, count, dim, separation):
@@ -109,7 +110,7 @@ def _synthetic_stream(spec: ScenarioSpec) -> TaskStream:
         pts = pts.reshape(-1, spec.patches, spec.patch_dim)
         by_class[cid] = (pts[:spec.train_per_class], pts[spec.train_per_class:])
     groups = [list(range(t * per_task, (t + 1) * per_task)) for t in range(spec.num_tasks)]
-    return _assemble(by_class, groups, _class_names(by_class), feature_space=False)
+    return _assemble(by_class, groups, _class_names(by_class))
 
 
 def _feature_stream(spec: ScenarioSpec) -> TaskStream:
@@ -121,9 +122,12 @@ def _feature_stream(spec: ScenarioSpec) -> TaskStream:
         raise ScenarioError(
             f"feature file holds {len(present)} classes, scenario needs {need}")
     rng = Rng(spec.seed)
+    width = feats.shape[1]
+    lift = rng.child("lift").normal((width, spec.patches * spec.patch_dim),
+                                    std=1.0 / np.sqrt(width))
     by_class = {}
     for cid in present[:need]:
-        rows = feats[labels == cid]
+        rows = (feats[labels == cid] @ lift).reshape(-1, spec.patches, spec.patch_dim)
         if len(rows) < 2:
             raise ScenarioError(f"class {cid} has fewer than 2 samples")
         order = rng.child(("split", cid)).permutation(len(rows))
@@ -133,7 +137,7 @@ def _feature_stream(spec: ScenarioSpec) -> TaskStream:
         by_class[cid] = (rows[order[n_test:]], rows[order[:n_test]])
     per_task = spec.classes_per_task
     groups = [present[t * per_task:(t + 1) * per_task] for t in range(spec.num_tasks)]
-    return _assemble(by_class, groups, _class_names(by_class), feature_space=True)
+    return _assemble(by_class, groups, _class_names(by_class))
 
 
 def generate_scenario(spec: ScenarioSpec) -> TaskStream:
@@ -157,13 +161,13 @@ def regroup(stream: TaskStream, groups) -> TaskStream:
     missing = sorted(c for cids in groups for c in cids if c not in by_class)
     if missing:
         raise ScenarioError(f"stream lacks test samples for classes {missing}")
-    return _assemble(by_class, groups, stream.class_names, stream.feature_space)
+    return _assemble(by_class, groups, stream.class_names)
 
 
-def _assemble(by_class: dict, groups, class_names: dict, feature_space: bool) -> TaskStream:
+def _assemble(by_class: dict, groups, class_names: dict) -> TaskStream:
     """A stream whose task t holds the classes ``groups[t]``, in that order,
     each with its ``by_class[c] = (train_x, test_x)`` samples."""
-    out = TaskStream(class_names=dict(class_names), feature_space=feature_space)
+    out = TaskStream(class_names=dict(class_names))
     for t, cids in enumerate(groups):
         tr_x = np.concatenate([by_class[c][0] for c in cids])
         te_x = np.concatenate([by_class[c][1] for c in cids])

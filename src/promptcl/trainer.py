@@ -25,7 +25,7 @@ from . import losses as ls
 from . import optim
 from . import prompts as pr
 from .encoders import (EncoderConfig, FrozenStack, build_stack, class_name_embed,
-                       embed_tokens, lift_features, vision_encode, vit_forward)
+                       embed_tokens, vision_encode, vit_forward)
 from .featureio import FormatError, unique_keys
 from .rng import Rng
 from .scenario import Task, TaskStream
@@ -108,9 +108,7 @@ class TrainerState:
     class_names: dict = field(default_factory=dict)
     class_embeds: dict = field(default_factory=dict)
     current_task: int = -1
-    seed: int = 0
     variant: str | None = None
-    feature_space: bool = False
 
 
 def _empty_books(config: EncoderConfig, variant) -> pr.Codebooks:
@@ -118,13 +116,11 @@ def _empty_books(config: EncoderConfig, variant) -> pr.Codebooks:
                         prefix_tokens=PREFIX_TOKENS if variant == "prefix_tuning" else 0)
 
 
-def new_state(config: EncoderConfig, seed: int, variant=None,
-              feature_space: bool = False) -> TrainerState:
+def new_state(config: EncoderConfig, seed: int, variant=None) -> TrainerState:
     variant = check_variant(variant)
     return TrainerState(stack=build_stack(config, seed),
                         books=_empty_books(config, variant),
-                        heads=ls.ClassifierHeads(d_prime=config.d_prime),
-                        seed=seed, variant=variant, feature_space=feature_space)
+                        heads=ls.ClassifierHeads(d_prime=config.d_prime), variant=variant)
 
 
 def _register_names(state: TrainerState, class_ids, names: dict | None):
@@ -332,7 +328,7 @@ def train_task(state: TrainerState, task: Task, hp: Hyperparams,
     if len(task.train_y) == 0:
         raise TrainerError(f"task {task.task_id} has no training samples")
     hp = replace(hp, M=1) if state.variant == "unimodal" else hp
-    rng = Rng(state.seed).child("trainer").child(("task", task.task_id))
+    rng = Rng(state.stack.seed).child("trainer").child(("task", task.task_id))
     _register_names(state, task.class_ids, class_names)
     pr.extend_codebooks(state.books, task.class_ids, rng.child("init"), task.task_id)
 
@@ -404,9 +400,7 @@ class QuerySet:
             return
         if self.stack is not None:
             raise TrainerError("query set was encoded by another state's stack")
-        # stream samples as token grids; feature rows are lifted first
-        raw = (lift_features(state.stack, self.x) if state.feature_space
-               else np.asarray(self.x, np.float32))
+        raw = np.asarray(self.x, np.float32)
         if raw.ndim != 3:
             raise TrainerError(f"expected a batch of inputs, got shape {np.shape(self.x)}")
         self.z = _encode_rows(lambda s: vision_encode(state.stack, raw[s]), len(raw))
@@ -502,9 +496,8 @@ def save_checkpoint(state: TrainerState, out_dir) -> None:
         elif os.path.exists(path):
             os.remove(path)  # an older run's bank: load_checkpoint would read it
     meta = {
-        "seed": state.seed,
+        "seed": state.stack.seed,
         "variant": state.variant,
-        "feature_space": state.feature_space,
         "class_names": {str(k): v for k, v in state.class_names.items()},
         "encoder": asdict(state.stack.config),
     }
@@ -514,7 +507,7 @@ def save_checkpoint(state: TrainerState, out_dir) -> None:
 
 
 # trainer.json: the types each key may hold
-_META_TYPES = {"seed": (int,), "variant": (str, type(None)), "feature_space": (bool,),
+_META_TYPES = {"seed": (int,), "variant": (str, type(None)),
                "class_names": (dict,), "encoder": (dict,)}
 
 
@@ -542,6 +535,11 @@ def _read_meta(path) -> dict:
         if type(meta[key]) not in types:
             raise FormatError(f"{path}: key '{key}' holds {type(meta[key]).__name__} "
                               f"{meta[key]!r}")
+    # older checkpoints wrote this flag; a feature-file run's inputs were then
+    # lifted by a stack matrix that no longer exists, so only false is read
+    if meta.get("feature_space", False) is not False:
+        raise FormatError(f"{path}: key 'feature_space' holds {meta['feature_space']!r}; "
+                          f"only an older checkpoint of a synthetic stream is read")
     if meta["seed"] < 0:
         raise FormatError(f"{path}: key 'seed' must be >= 0, got {meta['seed']}")
     if meta["variant"] is not None and meta["variant"] not in VARIANTS:
@@ -584,8 +582,7 @@ def load_checkpoint(out_dir) -> TrainerState:
     for attr, dim in (("bank1", config.d), ("bank2", config.d_prime)):
         if os.path.exists(path(f"{attr}.bin")):
             parts[attr] = gmm.load_bank(path(f"{attr}.bin"), dim, books.class_ids)
-    state = TrainerState(stack=build_stack(config, meta["seed"]), seed=meta["seed"],
-                         current_task=len(books.groups()) - 1, variant=meta["variant"],
-                         feature_space=meta["feature_space"], **parts)
+    state = TrainerState(stack=build_stack(config, meta["seed"]),
+                         current_task=len(books.groups()) - 1, variant=meta["variant"], **parts)
     _register_names(state, meta["class_names"], meta["class_names"])
     return state

@@ -188,7 +188,8 @@ def _trainer_checkpoint(path, variant=None):
 TRAINER_JSON = [  # (edit of trainer.json's object, key the error names)
     *[(lambda m, k=k: m.pop(k), k) for k in ("seed", "variant")],
     (lambda m: m["class_names"].pop("7"), "class_names"),  # a codebook class unnamed
-    *[(lambda m, k=k: m.pop(k), k) for k in ("feature_space", "class_names", "encoder")],
+    (lambda m: m.update(feature_space=True), "feature_space"),  # an older feature-file run
+    *[(lambda m, k=k: m.pop(k), k) for k in ("class_names", "encoder")],
     (lambda m: m.update(seed="0"), "seed"),
     (lambda m: m.update(variant=3), "variant"),
     (lambda m: m.update(variant="turbo"), "variant"),

@@ -256,8 +256,7 @@ def test_run_variant_flag(tmp_path):
         assert json.load(f)["variant"] == "first_level_only"
 
 
-def test_diag_subcommand(tmp_path):
-    cfg = write_cfg(tmp_path)
+def _check_diag_reproduces_the_run(tmp_path, cfg):
     out = str(tmp_path / "run")
     assert cli.main(["run", cfg, "--out", out, "--seed", "3",
                      "--checkpoint"]) == 0
@@ -272,6 +271,20 @@ def test_diag_subcommand(tmp_path):
     with open(os.path.join(diag_out, "confusion.csv"), "rb") as a, \
             open(os.path.join(out, "confusion_seed3.csv"), "rb") as b:
         assert a.read() == b.read()
+
+
+def test_diag_subcommand(tmp_path):
+    _check_diag_reproduces_the_run(tmp_path, write_cfg(tmp_path))
+
+
+def test_diag_subcommand_on_a_feature_file(tmp_path):
+    # rows need not be d wide: the scenario renders them as token grids
+    rng = np.random.default_rng(4)
+    labels = np.repeat(np.arange(4, dtype=np.uint32), 15)
+    feats = (rng.normal(size=(60, 7)) + 3.0 * np.eye(7)[labels]).astype(np.float32)
+    featureio.write_feature_file(tmp_path / "feats.bin", feats, labels)
+    cfg = write_cfg(tmp_path, kind="feature-file", feature_path=tmp_path / "feats.bin", d=8)
+    _check_diag_reproduces_the_run(tmp_path, cfg)
 
 
 def test_ablate_writes_one_row_per_variant(tmp_path):
@@ -300,17 +313,6 @@ def test_run_truncated_feature_file_prints_error(tmp_path, capsys):
     assert cli.main(["run", cfg, "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "feats.bin" in err
-
-
-def test_run_feature_width_not_d_prints_error(tmp_path, capsys):
-    feats = tmp_path / "feats.bin"
-    featureio.write_feature_file(feats, np.ones((8, 7), np.float32),
-                                 np.repeat(np.arange(4, dtype=np.uint32), 2))
-    cfg = write_cfg(tmp_path, kind="feature-file", feature_path=feats, d=8)
-    assert cli.main(["run", cfg, "--out", str(tmp_path / "o")]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "Traceback" not in err
-    assert "7 wide, expected d = 8" in err
 
 
 def test_diag_bad_inputs_print_error(tmp_path, capsys):
@@ -342,9 +344,14 @@ def test_diag_bad_inputs_print_error(tmp_path, capsys):
     assert cli.main(["diag", str(ckpt), cfg, "--out", str(tmp_path / "d")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "codebooks.bin" in err
-    # trainer.json without its encoder entry, then not JSON at all
+    # an older checkpoint of a feature file, whose inputs no longer render the same
     meta_path = ckpt / "trainer.json"
     meta = json.loads(meta_path.read_text())
+    meta_path.write_text(json.dumps({**meta, "feature_space": True}))
+    assert cli.main(["diag", str(ckpt), cfg, "--out", str(tmp_path / "d")]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: {meta_path}: key 'feature_space' holds True")
+    # trainer.json without its encoder entry, then not JSON at all
     del meta["encoder"]
     meta_path.write_text(json.dumps(meta))
     assert cli.main(["diag", str(ckpt), cfg, "--out", str(tmp_path / "d")]) == 1

@@ -223,12 +223,3 @@ def test_frozen_weights_untouched_by_forward_passes():
         np.zeros((3, cfg.L, cfg.d_prime), np.float32), requires_grad=True))
     ad.mean(out).backward()
     assert enc.stack_hash(stack) == before
-
-
-def test_lift_features_shape():
-    cfg = small_config()
-    stack = enc.build_stack(cfg, 17)
-    z = Rng(14).normal((5, cfg.d))
-    grids = enc.lift_features(stack, z)
-    assert grids.shape == (5, cfg.patches, cfg.patch_dim)
-    enc.vision_encode(stack, grids)  # passes through the full vision path

@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from promptcl import encoders as enc
 from promptcl import featureio, gmm
 from promptcl import scenario as sc
 
@@ -89,14 +92,28 @@ def test_feature_file_stream(tmp_path):
         labels.append(np.full(12, cid, np.uint32))
     path = tmp_path / "feats.bin"
     featureio.write_feature_file(path, np.concatenate(feats), np.concatenate(labels))
+    config = enc.EncoderConfig(d=8, d_prime=8, L=1, heads=2, seq_len=5, patch_dim=3)
     spec = sc.ScenarioSpec(num_tasks=2, classes_per_task=2, kind="feature-file",
-                           feature_path=str(path), train_per_class=8, test_per_class=4)
+                           feature_path=str(path), train_per_class=8, test_per_class=4,
+                           patches=config.patches, patch_dim=config.patch_dim)
     stream = sc.generate_scenario(spec)
-    assert stream.feature_space
     assert [t.class_ids for t in stream.tasks] == [[0, 1], [2, 3]]
     task = stream.tasks[0]
     assert len(task.train_y) + len(task.test_y) == 24
-    assert task.train_x.shape[1] == 6
+    # 6-wide rows become token grids that run the full vision path
+    assert task.train_x.shape == (len(task.train_y), 4, 3)
+    assert task.train_x.dtype == np.float32
+    enc.vision_encode(enc.build_stack(config, 0), task.train_x)
+
+    def grids(s):
+        x = np.concatenate([x for t in sc.generate_scenario(s).tasks
+                            for x in (t.train_x, t.test_x)])
+        return x.reshape(len(x), -1)
+
+    assert grids(spec).tobytes() == grids(spec).tobytes()
+    # each column sorted, so a new train/test split alone would not differ
+    other = np.sort(grids(replace(spec, seed=1)), axis=0)
+    assert not np.array_equal(np.sort(grids(spec), axis=0), other)
 
 
 def test_feature_file_too_few_classes(tmp_path):

@@ -34,8 +34,7 @@ def small_stream(num_tasks=3, classes_per_task=2, seed=5, kind="separable-cluste
 
 
 def run_stream(stream, variant=None, hp=HP, seed=1993):
-    state = tr.new_state(CFG, seed=seed, variant=variant,
-                         feature_space=stream.feature_space)
+    state = tr.new_state(CFG, seed=seed, variant=variant)
     for task in stream.tasks:
         tr.train_task(state, task, hp, stream.class_names)
     return state
@@ -466,7 +465,7 @@ def test_query_set_is_bound_to_one_stack():
     from promptcl.encoders import build_stack
     state, qs, _ = _predicted_set()
     tr.predict_batch(state, qs)
-    twin = replace(state, stack=build_stack(CFG, state.seed))
+    twin = replace(state, stack=build_stack(CFG, state.stack.seed))
     with pytest.raises(tr.TrainerError, match="another state"):
         tr.predict_batch(twin, qs)
 
@@ -562,8 +561,8 @@ def _add_older_entries(ckpt, books, edit_books=None, current_task=7):
     """Rewrite a checkpoint as the older format wrote it: the geometry first
     in codebooks.bin (``meta``) and heads.bin (``d_prime``), then heads.bin's
     task list (``tasks``), each bank's class list (``class_ids``) and
-    trainer.json's ``current_task``, here ``current_task``; ``edit_books``
-    may change the codebook entries too."""
+    trainer.json's ``current_task``, here ``current_task``, and
+    ``feature_space``, false; ``edit_books`` may change the codebook entries too."""
     meta = np.array([books.d, books.L, books.d_prime, books.prefix_tokens], np.int64)
     bank_ids = lambda a: {"class_ids": _ids(a, "mu")}  # noqa: E731
     older = {"codebooks.bin": (pr.CODEBOOK_MAGIC, lambda a: {"meta": meta}),
@@ -580,6 +579,7 @@ def _add_older_entries(ckpt, books, edit_books=None, current_task=7):
         featureio.write_archive(ckpt / name, magic, {**first(arrays), **arrays})
     trainer_json = json.loads((ckpt / "trainer.json").read_text())
     trainer_json["current_task"] = current_task
+    trainer_json["feature_space"] = False
     (ckpt / "trainer.json").write_text(json.dumps(trainer_json, indent=2, sort_keys=True))
 
 
@@ -678,6 +678,13 @@ def test_load_checkpoint_reads_every_saved_entry(monkeypatch, trained_checkpoint
     assert written and written - read == set()
 
 
+@pytest.mark.parametrize("variant", [None, "first_level_only"])
+def test_trainer_json_holds_only_the_keys_it_is_read_by(trained_checkpoint, variant):
+    # a key written but not checked on reading states a fact nothing reads
+    _, path = trained_checkpoint(variant)
+    assert set(json.loads((path / "trainer.json").read_text())) == set(tr._META_TYPES)
+
+
 def test_checkpoint_round_trip(tmp_path):
     stream = small_stream(num_tasks=2)
     state = run_stream(stream)
@@ -730,7 +737,8 @@ def test_feature_space_stream_trains(tmp_path):
     path = tmp_path / "feats.bin"
     featureio.write_feature_file(path, np.concatenate(feats), np.concatenate(labels))
     spec = sc.ScenarioSpec(num_tasks=2, classes_per_task=2, kind="feature-file",
-                           feature_path=str(path), train_per_class=12, test_per_class=4)
+                           feature_path=str(path), train_per_class=12, test_per_class=4,
+                           patches=CFG.patches, patch_dim=CFG.patch_dim)
     stream = sc.generate_scenario(spec)
     state = run_stream(stream)
     assert state.current_task == 1
