@@ -10,6 +10,7 @@ prompt, residual or prefix (the gradient oracle's) enters them.
 from __future__ import annotations
 
 import hashlib
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,11 +37,16 @@ class EncoderConfig:
     patch_dim: int = 16    # raw dimension of one input patch row
 
     def __post_init__(self):
+        for name in ("d", "d_prime", "L", "heads", "seq_len", "patch_dim"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"'{name}' must be an int, got {value!r}")
         if min(self.d, self.d_prime, self.L, self.heads, self.seq_len, self.patch_dim) < 1:
             raise ConfigError("all structural dims must be >= 1")
         if self.d_prime % self.heads:
             raise ConfigError(f"d_prime={self.d_prime} not divisible by heads={self.heads}")
-        if not 0 < self.tau < np.inf:
+        real = isinstance(self.tau, numbers.Real) and not isinstance(self.tau, bool)
+        if not (real and 0 < self.tau < np.inf):
             raise ConfigError(f"'tau' must be positive and finite, got {self.tau!r}")
         if self.seq_len < 2:
             raise ConfigError("seq_len must include CLS plus at least one patch")

@@ -1,13 +1,9 @@
-"""Binary file formats: feature files and versioned array archives.
+"""Versioned array archives, the one binary container of feature files and
+of the codebook / head / mixture-bank checkpoints.
 
-Feature file layout (little-endian throughout):
-  magic "STARFEAT" (8 bytes), version u32 = 1, count u32, dim u32,
-  count*dim float32 payload, count u32 labels.
-
-Array archives back the codebook / head / mixture-bank checkpoints: a magic,
-a version u32 = 2, an array count u32, then per array its UTF-8 name, a dtype
-code (f4, f8 or i8), its rank, shape and payload. Version 1 archives, which
-had no f8 code, still read.
+An archive is a magic, a version u32 = 2, an array count u32, then per array
+its UTF-8 name, a dtype code (f4, f8 or i8), its rank, shape and payload, all
+little-endian. Version 1 archives, which had no f8 code, still read.
 """
 from __future__ import annotations
 
@@ -18,8 +14,7 @@ import numpy as np
 
 from . import PromptclError
 
-FEATURE_MAGIC = b"STARFEAT"
-FEATURE_VERSION = 1
+FEATURE_MAGIC = b"STARFARC"
 
 
 class FormatError(PromptclError):
@@ -41,46 +36,33 @@ def unique_keys(path, error=FormatError):
 
 
 def write_feature_file(path, features, labels) -> None:
-    features = np.ascontiguousarray(features, dtype="<f4")
-    labels = np.ascontiguousarray(labels, dtype="<u4")
-    if features.ndim != 2:
-        raise FormatError(f"features must be 2-D, got shape {features.shape}")
-    count, dim = features.shape
-    if labels.shape != (count,):
-        raise FormatError(f"labels shape {labels.shape} does not match count {count}")
-    with open(path, "wb") as f:
-        f.write(FEATURE_MAGIC)
-        f.write(struct.pack("<III", FEATURE_VERSION, count, dim))
-        f.write(features.tobytes())
-        f.write(labels.tobytes())
+    """Write a feature file: the archive entries ``features`` (count x dim
+    float32) and ``labels`` (count class ids >= 0)."""
+    features, labels = np.asarray(features, dtype=np.float32), np.asarray(labels)
+    if features.ndim != 2 or labels.shape != features.shape[:1] or labels.dtype.kind not in "iu":
+        raise FormatError(f"features {features.shape} and {labels.dtype} labels {labels.shape} "
+                          f"must be (count, dim) floats and (count,) ints")
+    write_archive(path, FEATURE_MAGIC, {"features": features, "labels": labels})
 
 
 def load_feature_file(path):
     """Read a feature file back as (count x dim float32 array, label list);
-    a malformed file or a non-finite feature raises FormatError naming it."""
-    with open(path, "rb") as f:
-        raw = f.read()
-    if len(raw) < 20:
-        raise FormatError(f"{path}: truncated header")
-    if raw[:8] != FEATURE_MAGIC:
-        raise FormatError(f"{path}: bad magic {raw[:8]!r}")
-    version, count, dim = struct.unpack("<III", raw[8:20])
-    if version != FEATURE_VERSION:
-        raise FormatError(f"{path}: unsupported version {version}")
-    if dim == 0 or count == 0:
-        raise FormatError(f"{path}: degenerate count/dim ({count}, {dim})")
-    need = 20 + 4 * count * dim + 4 * count
-    if len(raw) != need:
-        raise FormatError(f"{path}: payload length {len(raw)} != expected {need}")
-    features = np.frombuffer(raw, dtype="<f4", count=count * dim, offset=20).reshape(count, dim)
-    if not np.isfinite(features).all():
-        raise FormatError(f"{path}: features hold NaN or infinite values")
-    labels = np.frombuffer(raw, dtype="<u4", count=count, offset=20 + 4 * count * dim)
-    return features.copy(), [int(x) for x in labels]
+    a malformed or empty file, a non-finite feature or a negative label
+    raises FormatError naming it."""
+    arrays = read_archive(path, FEATURE_MAGIC)
+    # rows are float32 however an edited file stored them; the check sees the cast
+    arrays = {k: v.astype(np.float32) if v.dtype == np.float64 else v for k, v in arrays.items()}
+    features = archive_entry(arrays, path, "features", "f", (None, None))
+    labels = archive_entry(arrays, path, "labels", "i", (len(features),))
+    if 0 in features.shape:
+        raise FormatError(f"{path}: entry 'features' is empty, of shape {features.shape}")
+    if (labels < 0).any():
+        raise FormatError(f"{path}: entry 'labels' holds a negative class id")
+    return features, labels.tolist()
 
 
 # ---------------------------------------------------------------------------
-# named-array archives (checkpoints)
+# named-array archives
 
 ARCHIVE_VERSION = 2
 _READ_VERSIONS = (1, 2)

@@ -163,19 +163,21 @@ def build_residual(Q, sim) -> ad.Tensor:
 
 
 def save_codebooks(path, books: Codebooks) -> None:
-    """Write the per-class records; the geometry (``d``, ``L``, ``d'``, prefix
-    tokens) is not repeated here, it lives in the checkpoint's trainer.json."""
+    """Write the per-class records, each with its key (a class without one
+    raises CodebookError); the geometry (``d``, ``L``, ``d'``, prefix tokens)
+    is not repeated here, it lives in the checkpoint's trainer.json."""
     cids = books.class_ids
     arrays = {
         "class_ids": np.array(cids, dtype=np.int64),
         "task_of": np.array([books.task_of[c] for c in cids], dtype=np.int64),
     }
     for cid in cids:
+        if cid not in books.keys:
+            raise CodebookError(f"class {cid} has no key to save")
         arrays[f"p{cid}"] = books.p[cid]
         arrays[f"Q{cid}"] = books.Q[cid]
         arrays[f"A{cid}"] = books.A[cid]
-        if cid in books.keys:
-            arrays[f"w{cid}"] = books.keys[cid]
+        arrays[f"w{cid}"] = books.keys[cid]
     write_archive(path, CODEBOOK_MAGIC, arrays)
 
 
@@ -198,7 +200,6 @@ def load_codebooks(path, books: Codebooks) -> Codebooks:
         books.p[cid] = archive_entry(arrays, path, f"p{cid}", "f", (books.d,))
         books.Q[cid] = archive_entry(arrays, path, f"Q{cid}", "f", books.q_shape())
         books.A[cid] = archive_entry(arrays, path, f"A{cid}", "f", (books.d,))
+        books.keys[cid] = archive_entry(arrays, path, f"w{cid}", "f", (books.d,))
         books.task_of[cid] = task
-        if f"w{cid}" in arrays:
-            books.keys[cid] = archive_entry(arrays, path, f"w{cid}", "f", (books.d,))
     return books

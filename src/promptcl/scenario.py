@@ -2,10 +2,12 @@
 
 Tasks carry disjoint class id sets; inputs are raw token grids
 (patches x patch_dim) so every sample runs through the full vision path.
-A feature file's rows become grids through a fixed linear map drawn from
-the scenario seed.
+A feature file (``featureio``'s archive of rows of any width and labels)
+becomes grids through a fixed linear map drawn from the scenario seed.
 """
 
+import numbers
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -14,6 +16,10 @@ from . import PromptclError, featureio
 from .rng import Rng
 
 KINDS = ("separable-clusters", "bimodal-clusters", "feature-file")
+# each numeric field's lowest value; an int bound marks an int field, a float
+# bound a finite real one
+_LOWEST = {"num_tasks": 1, "classes_per_task": 1, "train_per_class": 0, "test_per_class": 0,
+           "separation": 0.0, "noise": 0.0, "seed": 0, "patches": 1, "patch_dim": 1}
 
 
 class ScenarioError(PromptclError):
@@ -35,16 +41,21 @@ class ScenarioSpec:
     feature_path: str | None = None
 
     def __post_init__(self):
-        if self.num_tasks < 1 or self.classes_per_task < 1:
-            raise ScenarioError("num_tasks and classes_per_task must be >= 1")
+        for name, low in _LOWEST.items():
+            value, key = getattr(self, name), "scenario_seed" if name == "seed" else name
+            kind = numbers.Integral if type(low) is int else numbers.Real
+            ok = isinstance(value, kind) and not isinstance(value, bool)
+            if not (ok and -np.inf < value < np.inf):
+                what = "an int" if kind is numbers.Integral else "a finite real number"
+                raise ScenarioError(f"{key} must be {what}, got {value!r}")
+            if value < low:
+                raise ScenarioError(f"{key} must be >= {low}, got {value}")
+        if not isinstance(self.feature_path, (str, os.PathLike, type(None))):
+            raise ScenarioError(f"feature_path must be a path or None, got {self.feature_path!r}")
         if self.kind not in KINDS:
             raise ScenarioError(f"unknown generator kind {self.kind!r}")
         if self.kind == "feature-file" and not self.feature_path:
             raise ScenarioError("feature-file kind needs feature_path")
-        for name in ("separation", "noise", "seed", "train_per_class", "test_per_class"):
-            if getattr(self, name) < 0:
-                key = "scenario_seed" if name == "seed" else name  # the config key
-                raise ScenarioError(f"{key} must be >= 0, got {getattr(self, name)}")
         if self.kind != "feature-file":  # a feature file splits by their ratio
             for name in ("train_per_class", "test_per_class"):
                 if getattr(self, name) < 1:

@@ -554,11 +554,6 @@ def _read_meta(path) -> dict:
     if set(enc) != set(hints):
         odd = sorted(set(enc) ^ set(hints))
         raise FormatError(f"{path}: key 'encoder' lacks or has unknown fields {odd}")
-    for name, value in enc.items():
-        allowed = (int, float) if hints[name] is float else (hints[name],)
-        if type(value) not in allowed:
-            raise FormatError(f"{path}: key 'encoder' field '{name}' holds "
-                              f"{type(value).__name__} {value!r}")
     try:
         meta["encoder"] = EncoderConfig(**enc)
     except PromptclError as exc:

@@ -15,8 +15,8 @@ from promptcl import losses as ls
 from promptcl import prompts as pr
 from promptcl import trainer as tr
 from promptcl.encoders import EncoderConfig
-from promptcl.featureio import (FormatError, load_feature_file, read_archive,
-                                write_archive, write_feature_file)
+from promptcl.featureio import (FEATURE_MAGIC, FormatError, load_feature_file,
+                                read_archive, write_archive, write_feature_file)
 from promptcl.rng import Rng
 
 
@@ -31,7 +31,7 @@ def _books(prefix_tokens):
     books = pr.Codebooks(d=4, L=2, d_prime=3, prefix_tokens=prefix_tokens)
     pr.extend_codebooks(books, [4, 7], Rng(0), 0)
     pr.extend_codebooks(books, [2], Rng(1), 1)
-    books.keys[4] = np.full(4, 0.5, np.float32)
+    books.keys = {c: np.full(4, 0.5, np.float32) for c in (2, 4, 7)}
     return books
 
 
@@ -52,12 +52,11 @@ ARCHIVES = {
                              p, pr.Codebooks(d=4, L=2, d_prime=3, prefix_tokens=2))),
     "bank": (gmm.MOG_MAGIC, lambda p: gmm.save_bank(p, _bank()),
              lambda p: gmm.load_bank(p, dim=3, class_ids=[2, 4])),
+    "features": (FEATURE_MAGIC,
+                 lambda p: write_feature_file(p, np.arange(12, dtype=np.float32).reshape(4, 3),
+                                              [0, 1, 0, 1]),
+                 load_feature_file),
 }
-READERS = {name: (write, read) for name, (_, write, read) in ARCHIVES.items()}
-READERS["features"] = (
-    lambda p: write_feature_file(p, np.arange(12, dtype=np.float32).reshape(4, 3),
-                                 [0, 1, 0, 1]),
-    load_feature_file)
 
 
 def _load_or_format_error(read, path):
@@ -74,6 +73,7 @@ INCOMPLETE = [  # (reader, edit of a valid archive, entry the error names)
     ("heads", lambda a: a.update(classes0=np.array([4, 4])), "classes0"),
     ("heads", lambda a: a.update(classes1=np.array([3])), "classes1"),
     ("codebooks", lambda a: a.pop("p7"), "p7"),
+    ("codebooks", lambda a: a.pop("w7"), "w7"),
     ("codebooks", lambda a: a.update(task_of=a["task_of"][:2]), "task_of"),
     ("codebooks", lambda a: a.update(A4=a["A4"][:3]), "A4"),
     ("codebooks", lambda a: a.update(class_ids=a["class_ids"].astype(np.float64)),
@@ -84,6 +84,7 @@ INCOMPLETE = [  # (reader, edit of a valid archive, entry the error names)
      "class_ids"),  # a second class 4
     ("bank", lambda a: a.pop("mu4"), "mu4"),
     ("bank", lambda a: [a.pop(f"{part}4") for part in ("w", "mu", "cov")], "w4"),
+    ("features", lambda a: a.update(labels=a["labels"][:3]), "labels"),
 ]
 
 
@@ -155,9 +156,9 @@ _MUTATIONS = st.lists(st.tuples(st.sampled_from(("set", "insert", "delete")),
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(kind=st.sampled_from(sorted(READERS)), mutations=_MUTATIONS)
+@given(kind=st.sampled_from(sorted(ARCHIVES)), mutations=_MUTATIONS)
 def test_mutated_bytes_load_or_raise_format_error(tmp_path_factory, kind, mutations):
-    write, read = READERS[kind]
+    _, write, read = ARCHIVES[kind]
     path = tmp_path_factory.getbasetemp() / f"mutated_{kind}.bin"
     write(path)
     raw = bytearray(path.read_bytes())
@@ -179,6 +180,7 @@ def _trainer_checkpoint(path, variant=None):
     state = tr.new_state(EncoderConfig(d=4, d_prime=4, L=1, heads=2, seq_len=3,
                                        patch_dim=2), seed=0, variant=variant)
     pr.extend_codebooks(state.books, [4, 7], Rng(0), 0)
+    state.books.keys = {4: np.eye(4, dtype=np.float32)[0], 7: np.eye(4, dtype=np.float32)[1]}
     state.heads.add_task(0, [4, 7])
     state.class_names = {4: "cat", 7: "dog"}
     state.current_task = 0
@@ -390,4 +392,5 @@ def test_edited_membership_loads_consistent_or_raises_format_error(
         assert sorted(state.heads.classes[state.heads.spans[t]]) == [
             c for c in cids if task_of[c] == t]
     assert sorted(state.class_names) == sorted(state.class_embeds) == cids
+    assert sorted(state.books.keys) == cids
     assert sorted(state.bank1) == sorted(state.bank2) == cids

@@ -3,6 +3,7 @@ import json
 import os
 import re
 import shutil
+import struct
 
 import numpy as np
 import pytest
@@ -313,6 +314,21 @@ def test_run_truncated_feature_file_prints_error(tmp_path, capsys):
     assert cli.main(["run", cfg, "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "feats.bin" in err
+
+
+def test_run_older_layout_feature_file_prints_bad_magic(tmp_path, capsys):
+    # an older feature file: "STARFEAT", version, count and dim u32, then f32
+    # rows and u32 labels; its version 1 must not be read as an archive's
+    feats, labels = np.ones((8, 16), np.float32), np.repeat(np.arange(4, dtype="<u4"), 2)
+    path = tmp_path / "feats.bin"
+    path.write_bytes(b"STARFEAT" + struct.pack("<III", 1, 8, 16)
+                     + feats.tobytes() + labels.tobytes())
+    with pytest.raises(featureio.FormatError, match=r"feats\.bin: bad magic b'STARFEAT'"):
+        featureio.load_feature_file(path)
+    cfg = write_cfg(tmp_path, kind="feature-file", feature_path=path)
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "feats.bin: bad magic b'STARFEAT'" in err
 
 
 def test_diag_bad_inputs_print_error(tmp_path, capsys):

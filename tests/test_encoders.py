@@ -223,3 +223,10 @@ def test_frozen_weights_untouched_by_forward_passes():
         np.zeros((3, cfg.L, cfg.d_prime), np.float32), requires_grad=True))
     ad.mean(out).backward()
     assert enc.stack_hash(stack) == before
+
+
+@pytest.mark.parametrize("field, value", [("d", 8.0), ("d", "8"), ("heads", True),
+                                          ("tau", True), ("tau", "0.1"), ("tau", None)])
+def test_config_field_types_are_checked(field, value):
+    with pytest.raises(enc.ConfigError, match=f"'{field}' must be"):
+        small_config(**{field: value})

@@ -20,23 +20,38 @@ def test_feature_round_trip(tmp_path):
 def test_truncated_file_rejected(tmp_path):
     path = tmp_path / "f.bin"
     write_feature_file(path, np.ones((4, 3), np.float32), [0, 1, 0, 1])
-    raw = path.read_bytes()
-    path.write_bytes(raw[:-5])
-    with pytest.raises(FormatError, match="length"):
+    path.write_bytes(path.read_bytes()[:-5])
+    with pytest.raises(FormatError, match=r"f\.bin: truncated at byte .* array 'labels'"):
         load_feature_file(path)
 
 
 def test_zero_dim_rejected(tmp_path):
     path = tmp_path / "f.bin"
-    path.write_bytes(b"STARFEAT" + struct.pack("<III", 1, 0, 0))
-    with pytest.raises(FormatError):
+    for shape in [(0, 3), (4, 0), (0, 0)]:  # no rows, no columns, neither
+        write_feature_file(path, np.zeros(shape, np.float32), np.zeros(shape[0], np.int64))
+        with pytest.raises(FormatError, match=r"f\.bin: entry 'features' is empty"):
+            load_feature_file(path)
+
+
+def test_negative_label_rejected(tmp_path):
+    path = tmp_path / "f.bin"
+    write_feature_file(path, np.ones((4, 3), np.float32), [0, 1, -1, 1])
+    with pytest.raises(FormatError, match=r"f\.bin: entry 'labels' holds a negative"):
         load_feature_file(path)
+
+
+@pytest.mark.parametrize("labels", [[0.5, 1.7, 2.2], [True, False, True]])
+def test_writer_refuses_labels_it_would_change(tmp_path, labels):
+    with pytest.raises(FormatError, match="labels"):
+        write_feature_file(tmp_path / "f.bin", np.ones((3, 2), np.float32), labels)
+    assert not (tmp_path / "f.bin").exists()
 
 
 def test_bad_magic_rejected(tmp_path):
     path = tmp_path / "f.bin"
-    path.write_bytes(b"NOTMAGIC" + struct.pack("<III", 1, 1, 1) + b"\0" * 8)
-    with pytest.raises(FormatError, match="magic"):
+    write_archive(path, b"NOTMAGIC", {"features": np.ones((1, 1), np.float32),
+                                      "labels": np.zeros(1, np.int64)})
+    with pytest.raises(FormatError, match=r"f\.bin: bad magic b'NOTMAGIC'"):
         load_feature_file(path)
 
 

@@ -235,3 +235,11 @@ def test_codebook_checkpoint_round_trip(tmp_path):
         assert back.Q[c].tobytes() == books.Q[c].tobytes()
         assert back.A[c].tobytes() == books.A[c].tobytes()
         assert back.keys[c].tobytes() == books.keys[c].tobytes()
+
+
+def test_saving_a_class_without_a_key_names_it(tmp_path):
+    books = make_books()
+    pr.extend_codebooks(books, [0, 1], Rng(1), task_id=0)
+    books.keys = {0: np.eye(books.d, dtype=np.float32)[0]}
+    with pytest.raises(pr.CodebookError, match="class 1 has no key"):
+        pr.save_codebooks(tmp_path / "books.bin", books)

@@ -57,8 +57,9 @@ def test_bimodal_classes_have_two_modes():
 
 
 def test_invalid_specs_rejected():
-    with pytest.raises(sc.ScenarioError):
-        sc.ScenarioSpec(num_tasks=0)
+    for key in ("num_tasks", "classes_per_task", "patches", "patch_dim"):
+        with pytest.raises(sc.ScenarioError, match=f"^{key} must be >= 1"):
+            sc.ScenarioSpec(**{key: 0})
     with pytest.raises(sc.ScenarioError):
         sc.ScenarioSpec(kind="mystery")
     with pytest.raises(sc.ScenarioError):
@@ -67,6 +68,16 @@ def test_invalid_specs_rejected():
         sc.ScenarioSpec(noise=-1.0)
     with pytest.raises(sc.ScenarioError, match="separation"):
         sc.ScenarioSpec(separation=-2.0)
+
+
+@pytest.mark.parametrize("field, value, key", [
+    ("separation", float("nan"), "separation"), ("noise", float("inf"), "noise"),
+    ("noise", True, "noise"), ("seed", 1.5, "scenario_seed"), ("num_tasks", 2.5, "num_tasks"),
+    ("patches", "4", "patches"), ("test_per_class", False, "test_per_class"),
+    ("feature_path", 57, "feature_path")])  # an int would be read as a file descriptor
+def test_spec_field_types_are_checked(field, value, key):
+    with pytest.raises(sc.ScenarioError, match=f"^{key} must be an? "):
+        sc.ScenarioSpec(**{field: value})
 
 
 @pytest.mark.parametrize("kind", sc.KINDS)
