@@ -210,31 +210,38 @@ def _predict_tasks(state, tasks, queries):
     return accs, chosen
 
 
+def _run_seed(config: ExperimentConfig, seed: int, checkpoint_last: bool):
+    """Train seed ``seed`` on its permuted stream: (accuracy matrix,
+    retrieval confusion, first-task precision curve). The stream is generated
+    here, so neither it nor the unpermuted one outlives the seed."""
+    stream = sc.generate_scenario(config.scenario)
+    if len(stream.tasks) > 1:
+        stream = sc.permute_classes(stream, seed)
+    state = tr.new_state(config.encoder, seed=seed, variant=config.variant)
+    matrix = mt.AccuracyMatrix(len(stream.tasks))
+    curve = []
+    # each test set is encoded once and re-predicted after every later task
+    queries = [tr.QuerySet(task.test_x) for task in stream.tasks]
+    for task in stream.tasks:
+        tr.train_task(state, task, config.hp, stream.class_names)
+        seen = task.task_id + 1
+        accs, chosen = _predict_tasks(state, stream.tasks[:seen], queries[:seen])
+        for j, acc in enumerate(accs):
+            matrix.record(task.task_id, j, acc)
+        # first-task precision: share of task-0 queries keyed to a task-0 class
+        curve.append(float(np.mean([state.books.task_of[c] == 0 for c in chosen[0]])))
+    if checkpoint_last:
+        tr.save_checkpoint(state, os.path.join(config.out, f"ckpt_seed{seed}"))
+    return matrix, mt.retrieval_confusion(state.books.task_of, chosen), curve
+
+
 def run_experiment(config: ExperimentConfig, write=True,
                    checkpoint_last=False) -> RunReport:
     """Train every seed's permuted stream and aggregate metrics."""
-    base = sc.generate_scenario(config.scenario)
     report = RunReport(variant=config.variant)
     for seed in config.seeds:
-        stream = sc.permute_classes(base, seed) if len(base.tasks) > 1 else base
-        state = tr.new_state(config.encoder, seed=seed, variant=config.variant)
-        matrix = mt.AccuracyMatrix(len(stream.tasks))
-        curve = []
-        # each test set is encoded once and re-predicted after every later task
-        queries = [tr.QuerySet(task.test_x) for task in stream.tasks]
-        for task in stream.tasks:
-            tr.train_task(state, task, config.hp, stream.class_names)
-            seen = task.task_id + 1
-            accs, chosen = _predict_tasks(state, stream.tasks[:seen], queries[:seen])
-            for j, acc in enumerate(accs):
-                matrix.record(task.task_id, j, acc)
-            # first-task precision: share of task-0 queries keyed to a task-0 class
-            curve.append(float(np.mean([state.books.task_of[c] == 0 for c in chosen[0]])))
-        report.per_seed[seed] = matrix
-        report.confusions[seed] = mt.retrieval_confusion(state.books.task_of, chosen)
-        report.precision_curves[seed] = curve
-        if checkpoint_last:
-            tr.save_checkpoint(state, os.path.join(config.out, f"ckpt_seed{seed}"))
+        (report.per_seed[seed], report.confusions[seed],
+         report.precision_curves[seed]) = _run_seed(config, seed, checkpoint_last)
     report.summary = mt.summarize(report.per_seed)
     if write:
         extras = {"variant": config.variant or "full",

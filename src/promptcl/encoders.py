@@ -71,17 +71,31 @@ def class_name_embed(name: str, config: EncoderConfig) -> np.ndarray:
     return v.astype(np.float32)
 
 
+# byte boundary every frozen block weight starts on, so BLAS reads the weights
+# the same way whatever offset the allocator returned
+WEIGHT_ALIGN = 64
+
+
+def _aligned(a: np.ndarray) -> np.ndarray:
+    """A copy of ``a`` whose data starts on a ``WEIGHT_ALIGN``-byte boundary."""
+    buf = np.empty(a.nbytes + WEIGHT_ALIGN, np.uint8)
+    start = -buf.ctypes.data % WEIGHT_ALIGN
+    out = buf[start:start + a.nbytes].view(a.dtype).reshape(a.shape)
+    out[...] = a
+    return out
+
+
 def _init_block(rng: Rng, dim: int) -> dict:
     s = 1.0 / np.sqrt(dim)
     hidden = 4 * dim
-    return {
-        "wq": rng.normal((dim, dim), std=s),
-        "wk": rng.normal((dim, dim), std=s),
-        "wv": rng.normal((dim, dim), std=s),
-        "wo": rng.normal((dim, dim), std=s),
-        "w1": rng.normal((dim, hidden), std=s),
-        "w2": rng.normal((hidden, dim), std=1.0 / np.sqrt(hidden)),
-    }
+    return {name: _aligned(w) for name, w in (
+        ("wq", rng.normal((dim, dim), std=s)),
+        ("wk", rng.normal((dim, dim), std=s)),
+        ("wv", rng.normal((dim, dim), std=s)),
+        ("wo", rng.normal((dim, dim), std=s)),
+        ("w1", rng.normal((dim, hidden), std=s)),
+        ("w2", rng.normal((hidden, dim), std=1.0 / np.sqrt(hidden))),
+    )}
 
 
 def _orthogonal(rng: Rng, dim: int) -> np.ndarray:

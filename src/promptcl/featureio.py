@@ -50,9 +50,8 @@ def load_feature_file(path):
     a malformed or empty file, a non-finite feature or a negative label
     raises FormatError naming it."""
     arrays = read_archive(path, FEATURE_MAGIC)
-    # rows are float32 however an edited file stored them; the check sees the cast
-    arrays = {k: v.astype(np.float32) if v.dtype == np.float64 else v for k, v in arrays.items()}
-    features = archive_entry(arrays, path, "features", "f", (None, None))
+    # rows are float32 however an edited file stored them
+    features = archive_entry(arrays, path, "features", "f", (None, None), np.float32)
     labels = archive_entry(arrays, path, "labels", "i", (len(features),))
     if 0 in features.shape:
         raise FormatError(f"{path}: entry 'features' is empty, of shape {features.shape}")
@@ -142,11 +141,13 @@ def read_archive(path, magic: bytes) -> dict:
 _KINDS = {"f": "float", "i": "integer"}
 
 
-def archive_entry(arrays: dict, path, name: str, kind: str, shape=None) -> np.ndarray:
+def archive_entry(arrays: dict, path, name: str, kind: str, shape=None,
+                  dtype=None) -> np.ndarray:
     """Entry ``name`` of the archive read from ``path``, checked for its dtype
     kind ("f" float or "i" integer) and, if given, its ``shape`` (None
-    matches any length). A missing or mismatched entry, or a float entry
-    holding NaN or +-Inf, raises FormatError naming the file and the entry."""
+    matches any length), and cast to ``dtype`` if one is given. A missing or
+    mismatched entry, a float entry holding NaN or +-Inf, or a float value
+    beyond ``dtype``'s range raises FormatError naming the file and the entry."""
     if name not in arrays:
         raise FormatError(f"{path}: missing entry {name!r}")
     arr = arrays[name]
@@ -158,4 +159,11 @@ def archive_entry(arrays: dict, path, name: str, kind: str, shape=None) -> np.nd
                           f"{arr.shape}, expected {_KINDS[kind]}{want}")
     if kind == "f" and not np.isfinite(arr).all():
         raise FormatError(f"{path}: entry {name!r} holds NaN or infinite values")
-    return arr
+    if dtype is None or arr.dtype == dtype:
+        return arr
+    with np.errstate(over="ignore"):  # an overflow is named below
+        cast = arr.astype(dtype)
+    if not np.isfinite(cast).all():
+        raise FormatError(f"{path}: entry {name!r} holds values beyond "
+                          f"{np.dtype(dtype).name} range")
+    return cast

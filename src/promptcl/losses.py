@@ -172,6 +172,6 @@ def load_heads(path, heads: ClassifierHeads, groups) -> ClassifierHeads:
                               f"the classes {cids} of task {t}")
         heads.add_task(t, classes)
         w, b = heads.heads[t]
-        w[:] = archive_entry(arrays, path, f"w{t}", "f", (heads.d_prime, len(classes)))
-        b[:] = archive_entry(arrays, path, f"b{t}", "f", (len(classes),))
+        w[:] = archive_entry(arrays, path, f"w{t}", "f", (heads.d_prime, len(classes)), np.float32)
+        b[:] = archive_entry(arrays, path, f"b{t}", "f", (len(classes),), np.float32)
     return heads

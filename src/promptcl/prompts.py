@@ -188,8 +188,6 @@ def load_codebooks(path, books: Codebooks) -> Codebooks:
     archives' ``meta`` and ``trainable``) are ignored; a missing or misshapen
     one raises FormatError naming it."""
     arrays = read_archive(path, CODEBOOK_MAGIC)
-    # rows are float32 however an edited archive stored them: they feed float32 graphs
-    arrays = {k: v.astype(np.float32) if v.dtype == np.float64 else v for k, v in arrays.items()}
     cids = archive_entry(arrays, path, "class_ids", "i", (None,)).tolist()
     if len(set(cids)) != len(cids):
         raise FormatError(f"{path}: entry 'class_ids' repeats a class id")
@@ -197,9 +195,10 @@ def load_codebooks(path, books: Codebooks) -> Codebooks:
     if sorted(set(tasks)) != list(range(len(set(tasks)))):
         raise FormatError(f"{path}: entry 'task_of' must number the tasks 0..T-1")
     for cid, task in zip(cids, tasks):
-        books.p[cid] = archive_entry(arrays, path, f"p{cid}", "f", (books.d,))
-        books.Q[cid] = archive_entry(arrays, path, f"Q{cid}", "f", books.q_shape())
-        books.A[cid] = archive_entry(arrays, path, f"A{cid}", "f", (books.d,))
-        books.keys[cid] = archive_entry(arrays, path, f"w{cid}", "f", (books.d,))
+        # rows are float32 however an edited archive stored them: they feed float32 graphs
+        books.p[cid] = archive_entry(arrays, path, f"p{cid}", "f", (books.d,), np.float32)
+        books.Q[cid] = archive_entry(arrays, path, f"Q{cid}", "f", books.q_shape(), np.float32)
+        books.A[cid] = archive_entry(arrays, path, f"A{cid}", "f", (books.d,), np.float32)
+        books.keys[cid] = archive_entry(arrays, path, f"w{cid}", "f", (books.d,), np.float32)
         books.task_of[cid] = task
     return books

@@ -292,7 +292,9 @@ def stage2_loss(state: TrainerState, cids, params: dict, tokens, z, sel: pr.Sele
     return loss
 
 
-def _stage2(state: TrainerState, task: Task, hp: Hyperparams, tokens, z_train, rng):
+def _stage2(state: TrainerState, task: Task, hp: Hyperparams, raw, z_train, rng):
+    """Fit the current classes' second-level prompts, query weights and head
+    columns; each batch's token grids are embedded from ``raw`` as it runs."""
     books = state.books
     cids = list(task.class_ids)
     labels = np.array([cids.index(int(y)) for y in task.train_y])
@@ -306,10 +308,11 @@ def _stage2(state: TrainerState, task: Task, hp: Hyperparams, tokens, z_train, r
         sel = _select_batch(state, z_b)
         # only classes some query selected move their A (and, with no past prompts, their Q)
         hit = np.isin(cids, sel.class_id)
-        return (stage2_loss(state, cids, params, tokens[idx], z_b, sel, labels[idx], hp.lambda2),
+        tokens = embed_tokens(state.stack, raw[idx])
+        return (stage2_loss(state, cids, params, tokens, z_b, sel, labels[idx], hp.lambda2),
                 {"Q": hit | past, "A": hit})
 
-    _descend(arrays, hp.lr2, _batches(len(tokens), hp.batch_size, hp.E1, rng, "s2"), loss_of)
+    _descend(arrays, hp.lr2, _batches(len(raw), hp.batch_size, hp.E1, rng, "s2"), loss_of)
 
 
 def _stage2_replay(state: TrainerState, hp: Hyperparams, rng):
@@ -335,7 +338,6 @@ def train_task(state: TrainerState, task: Task, hp: Hyperparams,
     qs = QuerySet(task.train_x)
     qs.bind(state)
     z_train = qs.z
-    tokens = embed_tokens(state.stack, qs.raw)
 
     if state.variant == "no_first_level":
         # first-level prompts fixed at a hand-crafted context, never trained
@@ -352,7 +354,7 @@ def train_task(state: TrainerState, task: Task, hp: Hyperparams,
     state.books.keys = pr.compute_keys(state.books, state.stack, state.class_embeds)
 
     if state.variant != "first_level_only":
-        _stage2(state, task, hp, tokens, z_train, rng.child("stage2"))
+        _stage2(state, task, hp, qs.raw, z_train, rng.child("stage2"))
         if state.variant != "no_replay":
             _fit_bank(state.bank2, qs.features(state, qs.select(state)), task.train_y,
                       task.class_ids, hp.M, rng, "mog2")
@@ -438,16 +440,20 @@ class QuerySet:
 
     def features(self, state: TrainerState, sel: pr.Selection) -> np.ndarray:
         """The CLS features conditioned on ``sel``, this set's last selection,
-        recomputing in chunks only the rows that select another class than
-        before or a class whose column that selection computed."""
+        recomputing only the rows that select another class than before or a
+        class whose column that selection computed, one chunk of token grids
+        at a time."""
         stale = sel.class_id != self.cls
         if self.fresh:  # a broadcast compare: np.isin costs several times more here
             stale |= (sel.class_id[:, None] == self.fresh).any(axis=1)
         stale = np.flatnonzero(stale)
         if len(stale):
-            tokens, sub = embed_tokens(state.stack, self.raw[stale]), sel[stale]
-            self.feats[stale] = _encode_rows(
-                lambda s: _conditioned_cls(state, tokens[s], sub[s]).data, len(stale))
+            def chunk(s):
+                rows = stale[s]
+                tokens = embed_tokens(state.stack, self.raw[rows])
+                return _conditioned_cls(state, tokens, sel[rows]).data
+
+            self.feats[stale] = _encode_rows(chunk, len(stale))
         self.cls = sel.class_id
         return self.feats
 

@@ -4,6 +4,7 @@ import json
 import math
 import re
 import shutil
+import warnings
 
 import numpy as np
 import pytest
@@ -100,6 +101,33 @@ def test_incomplete_archive_names_file_and_entry(tmp_path, kind, edit, entry):
     write_archive(path, magic, arrays)
     with pytest.raises(FormatError, match=rf"{kind}\.bin: .*'{entry}'"):
         read(path)
+
+
+BEYOND_FLOAT32 = [  # (reader, float entry it reads as float32)
+    ("heads", "w0"), ("heads", "b1"), ("codebooks", "w7"), ("prefix_codebooks", "Q2"),
+    ("features", "features"),
+]
+
+
+@pytest.mark.parametrize("kind, entry", BEYOND_FLOAT32,
+                         ids=[f"{kind}-{entry}" for kind, entry in BEYOND_FLOAT32])
+def test_float64_entry_beyond_float32_range_is_named(tmp_path, kind, entry):
+    # stored as f8: 1e300 is finite there but has no float32 value; values
+    # in range still read, as float32
+    magic, write, read = ARCHIVES[kind]
+    path = tmp_path / f"{kind}.bin"
+    write(path)
+    arrays = read_archive(path, magic)
+    arrays[entry] = arrays[entry].astype(np.float64)
+    write_archive(path, magic, arrays)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        read(path)
+        arrays[entry].flat[0] = 1e300
+        write_archive(path, magic, arrays)
+        with pytest.raises(FormatError, match=rf"{kind}\.bin: entry '{entry}' holds values "
+                                              r"beyond float32 range"):
+            read(path)
 
 
 @pytest.mark.parametrize("tasks", [[0, 0, 2], [1, 1, 2], [-1, 0, 0]])

@@ -1,9 +1,11 @@
 import csv
+import gc
 import json
 import os
 import re
 import shutil
 import struct
+import weakref
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ import pytest
 from promptcl import cli, featureio, gmm
 from promptcl import losses as ls
 from promptcl import prompts as pr
+from promptcl import scenario as sc
 from promptcl import trainer as tr
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
@@ -492,6 +495,41 @@ def test_diag_membership_edits_print_error(tmp_path, capsys):
     rc, err = diag()
     assert rc == 1 and err.startswith("error: ") and "bank1.bin" in err
     assert f"'w{cid}'" in err
+
+
+def test_run_keeps_no_stream_of_an_earlier_seed(monkeypatch):
+    # while a seed trains, neither an unpermuted stream nor any stream (or
+    # task) built for an earlier seed is still reachable
+    built = []   # (seed or None for unpermuted, weakref)
+
+    def track(fn, seed_of):
+        def wrapped(*args):
+            stream = fn(*args)
+            built.extend((seed_of(args), weakref.ref(o)) for o in [stream] + stream.tasks)
+            return stream
+        return wrapped
+
+    monkeypatch.setattr(sc, "generate_scenario", track(sc.generate_scenario, lambda a: None))
+    monkeypatch.setattr(sc, "permute_classes", track(sc.permute_classes, lambda a: a[1]))
+    checked = []
+    real = tr.train_task
+
+    def train_task(state, *args):
+        gc.collect()
+        seed = state.stack.seed
+        assert not [s for s, ref in built if s != seed and ref() is not None]
+        checked.append(seed)
+        return real(state, *args)
+
+    monkeypatch.setattr(tr, "train_task", train_task)
+    config = cli.build_experiment({
+        "num_tasks": 2, "classes_per_task": 2, "train_per_class": 4,
+        "test_per_class": 2, "d": 16, "d_prime": 32, "L": 2, "heads": 2,
+        "seq_len": 5, "patch_dim": 8, "E1": 1, "E2": 1, "n_replay": 4,
+        "seeds": [3, 4]})
+    cli.run_experiment(config, write=False)
+    assert checked == [3, 3, 4, 4]
+    assert {s for s, _ in built} == {None, 3, 4}
 
 
 def test_run_encodes_each_test_set_once_per_seed(monkeypatch):

@@ -32,6 +32,15 @@ def test_blocks_hold_only_their_weight_matrices():
         assert all(w.ndim == 2 and w.dtype == np.float32 for w in blk.values())
 
 
+@pytest.mark.parametrize("config", [small_config(), enc.EncoderConfig(tau=0.1)])
+def test_block_weights_start_on_a_64_byte_boundary(config):
+    stack = enc.build_stack(config, 1)
+    for blk in stack.text_blocks + stack.vis_blocks + stack.main_blocks:
+        for name, w in blk.items():
+            assert w.ctypes.data % 64 == 0, name
+            assert w.flags.c_contiguous and w.flags.writeable
+
+
 def test_encoder_output_separation():
     cfg = small_config()
     stack = enc.build_stack(cfg, 3)

@@ -3,6 +3,7 @@ import json
 import os
 import resource
 import shutil
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -250,6 +251,64 @@ def test_train_task_bytes_do_not_depend_on_chunk_length(monkeypatch):
     for t, (w, bias) in a.heads.heads.items():
         assert w.tobytes() == b.heads.heads[t][0].tobytes()
         assert bias.tobytes() == b.heads.heads[t][1].tobytes()
+
+
+def _record_embeds(monkeypatch, calls):
+    real = tr.embed_tokens
+    monkeypatch.setattr(tr, "embed_tokens",
+                        lambda stack, x: calls.append(len(x)) or real(stack, x))
+
+
+def test_predict_batch_embeds_one_chunk_at_a_time(monkeypatch):
+    stream = small_stream(num_tasks=2)
+    state = run_stream(stream, hp=replace(HP, E1=2, E2=1))
+    monkeypatch.setattr(tr, "ENCODE_CHUNK", 4)
+    x = np.concatenate([t.train_x for t in stream.tasks])[:3 * 4 + 5]
+    calls = []
+    _record_embeds(monkeypatch, calls)
+    tr.predict_batch(state, x)
+    # a fresh set computes every row once, never more than a chunk per call
+    assert calls == [4, 4, 4, 4, 1]
+
+
+def test_stage2_embeds_one_batch_at_a_time(monkeypatch):
+    # 24 training samples per task in batches of 8; the bank-2 feature pass
+    # runs in chunks of 5
+    stream = small_stream(num_tasks=1)
+    monkeypatch.setattr(tr, "ENCODE_CHUNK", 5)
+    calls, stage2 = [], []
+    _record_embeds(monkeypatch, calls)
+    real = tr._stage2
+    monkeypatch.setattr(tr, "_stage2", lambda *a: real(*a) or stage2.extend(calls))
+    run_stream(stream, hp=replace(HP, E1=2, E2=1, batch_size=8))
+    assert stage2 == [8, 8, 8] * 2
+    assert calls[len(stage2):] == [5, 5, 5, 5, 4]
+
+
+def test_predict_batch_memory_grows_by_chunk_not_by_set():
+    # acceptance geometry; what a fresh set keeps (z, features, selected
+    # classes, similarities) grows with it, the work beside it only by the
+    # chunks' concatenated outputs
+    cfg = EncoderConfig(tau=0.1)
+    state = tr.new_state(cfg, seed=0)
+    cids = [0, 1, 2, 3]
+    pr.extend_codebooks(state.books, cids, Rng(1), 0)
+    keys = Rng(2).normal((len(cids), cfg.d))
+    state.books.keys = {c: k / np.linalg.norm(k) for c, k in zip(cids, keys)}
+    state.heads.add_task(0, cids)
+    state.current_task = 0
+    extra = {}
+    for n in (2 * tr.ENCODE_CHUNK, 16 * tr.ENCODE_CHUNK):
+        qs = tr.QuerySet(Rng(n).normal((n, cfg.patches, cfg.patch_dim)))
+        tracemalloc.start()
+        try:
+            tr.predict_batch(state, qs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        extra[n] = peak - sum(a.nbytes for a in (qs.z, qs.feats, qs.cls, qs.sims))
+    per_row = (extra[16 * tr.ENCODE_CHUNK] - extra[2 * tr.ENCODE_CHUNK]) / (14 * tr.ENCODE_CHUNK)
+    assert per_row < 1024, f"{per_row:.0f} bytes per query beyond the kept state"
 
 
 @pytest.mark.skipif(not ad.HEAP_KEPT_MAPPED, reason="needs glibc's mallopt")
