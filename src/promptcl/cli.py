@@ -190,7 +190,6 @@ def build_experiment(cfg: dict) -> ExperimentConfig:
 
 @dataclass
 class RunReport:
-    variant: str | None
     per_seed: dict = field(default_factory=dict)      # seed -> AccuracyMatrix
     confusions: dict = field(default_factory=dict)    # seed -> confusion array
     precision_curves: dict = field(default_factory=dict)  # seed -> [per-task]
@@ -238,13 +237,13 @@ def _run_seed(config: ExperimentConfig, seed: int, checkpoint_last: bool):
 def run_experiment(config: ExperimentConfig, write=True,
                    checkpoint_last=False) -> RunReport:
     """Train every seed's permuted stream and aggregate metrics."""
-    report = RunReport(variant=config.variant)
+    report = RunReport()
     for seed in config.seeds:
         (report.per_seed[seed], report.confusions[seed],
          report.precision_curves[seed]) = _run_seed(config, seed, checkpoint_last)
     report.summary = mt.summarize(report.per_seed)
     if write:
-        extras = {"variant": config.variant or "full",
+        extras = {"variant": config.variant or tr.FULL,
                   "task1_precision": {str(s): report.precision_curves[s]
                                       for s in sorted(report.precision_curves)}}
         report.paths = mt.report(config.out, report.per_seed,
@@ -312,11 +311,6 @@ def _random_graph_check(seed: int) -> float:
     return rep.max_rel_err
 
 
-# the variants whose stage-2 graphs differ: confidence-scaled residuals,
-# prefix key/values, and residuals without the confidence
-STAGE2_VARIANTS = (None, "prefix_tuning", "no_conf_mod")
-
-
 def _oracle_state(variant=None):
     """A two-task state of random arrays on a 2-block copy of the oracle's
     stack, 3 queries near classes 2, 3 and 0, and their tokens. Task 0 owns
@@ -360,7 +354,7 @@ def _stage2_oracle(variant, cids, labels):
 def _oracle_losses() -> dict:
     """line label -> (loss over a name -> tensor dict, its float32 params)
     for each training loss on ``_oracle_state``: stage 1, key replay, stage 2
-    under each of ``STAGE2_VARIANTS`` and head replay. Stage 2's batch
+    under each variant with a second level and head replay. Stage 2's batch
     selects both current classes and a past one, whose rows enter as
     constants; each replay loss draws 3 rows per class from a fixed ``Rng``,
     so every call sees the same rows."""
@@ -369,8 +363,8 @@ def _oracle_losses() -> dict:
     heads, p = state.heads, {"p": np.stack([state.books.p[c] for c in cids])}
     out = {"stage-1 loss": (lambda prm: tr.stage1_loss(state, cids, prm, z, labels, 0.5), p),
            "key-replay loss": (lambda prm: tr.key_replay_loss(state, cids, prm, 3, Rng(14)), p)}
-    for variant in STAGE2_VARIANTS:
-        out[f"stage-2 loss, {variant or 'full'}"] = _stage2_oracle(variant, cids, labels)
+    for variant in (v for v, switches in tr.VARIANT_TABLE.items() if switches.second_level):
+        out[f"stage-2 loss, {variant or tr.FULL}"] = _stage2_oracle(variant, cids, labels)
     out["head-replay loss"] = (
         lambda prm: ls.gr_loss_second(prm["W"], prm["b"], state.bank2, heads.classes, 3, Rng(15)),
         {"W": heads.W, "b": heads.b})
@@ -407,7 +401,9 @@ def _load_experiment(args) -> ExperimentConfig:
         cfg["seeds"] = [args.seed]
     for flag in ("out", "variant", "preset"):
         value = getattr(args, flag, None)
-        if value:
+        if value == "":
+            raise ConfigError(f"--{flag} must not be empty")
+        if value is not None:
             cfg[flag] = value
     return build_experiment(cfg)
 
@@ -417,7 +413,7 @@ def _cmd_run(args) -> int:
     report = run_experiment(config, checkpoint_last=args.checkpoint)
     s = report.summary
     ff = f"  FF {s['ff_mean']:.4f} ± {s['ff_std']:.4f}" if "ff_mean" in s else ""
-    print(f"[{report.variant or 'full'}] FAA {s['faa_mean']:.4f} ± {s['faa_std']:.4f}{ff}")
+    print(f"[{config.variant or tr.FULL}] FAA {s['faa_mean']:.4f} ± {s['faa_std']:.4f}{ff}")
     for path in report.paths:
         print("wrote", path)
     return 0
@@ -426,10 +422,9 @@ def _cmd_run(args) -> int:
 def _cmd_ablate(args) -> int:
     base = _load_experiment(args)
     rows = []
-    for variant in (None,) + tr.VARIANTS:
-        name = variant or "full"
-        config = replace(base, variant=variant,
-                         out=os.path.join(base.out, name))
+    for variant in tr.VARIANT_TABLE:
+        name = variant or tr.FULL
+        config = replace(base, variant=variant, out=os.path.join(base.out, name))
         s = run_experiment(config).summary
         rows.append((name, s["faa_mean"], s["faa_std"], s.get("ff_mean"), s.get("ff_std")))
         print(f"[{name}] FAA {s['faa_mean']:.4f} ± {s['faa_std']:.4f}")
@@ -479,7 +474,8 @@ def main(argv=None) -> int:
     p_run.add_argument("config")
     p_run.add_argument("--seed", type=int, default=None)
     p_run.add_argument("--out", default=None)
-    p_run.add_argument("--variant", default=None)
+    p_run.add_argument("--variant", default=None,
+                       help=f"{tr.FULL} (the default) or an ablation: {', '.join(tr.VARIANTS)}")
     p_run.add_argument("--preset", default=None)
     p_run.add_argument("--checkpoint", action="store_true",
                        help="save a checkpoint per seed after the last task")

@@ -30,10 +30,29 @@ from .featureio import FormatError, unique_keys
 from .rng import Rng
 from .scenario import Task, TaskStream
 
-VARIANTS = ("first_level_only", "no_first_level", "prefix_tuning",
-            "no_replay", "unimodal", "no_conf_mod")
 
-PREFIX_TOKENS = 5
+@dataclass(frozen=True)
+class Variant:
+    """What one variant of the method runs: a row of ``VARIANT_TABLE``."""
+    first_level: bool = True   # train the first-level prompts; else a fixed hand-crafted context
+    second_level: bool = True  # train second-level prompts and the head; else classify by keys
+    replay: bool = True        # fit both banks and rehearse the keys and the head
+    conf_mod: bool = True      # scale each residual by its selection's similarity
+    prefix_tokens: int = 0     # if > 0, prefix key/values of this many tokens, not residuals
+    M: int = 0                 # if > 0, this many mixture components, not the preset's
+
+
+VARIANT_TABLE = {  # the full method, then the ablations in ``ablate``'s order
+    None: Variant(),
+    "first_level_only": Variant(second_level=False),
+    "no_first_level": Variant(first_level=False),
+    "prefix_tuning": Variant(prefix_tokens=5),
+    "no_replay": Variant(replay=False),
+    "unimodal": Variant(M=1),
+    "no_conf_mod": Variant(conf_mod=False),
+}
+VARIANTS = tuple(name for name in VARIANT_TABLE if name is not None)
+FULL = "full"  # the full method's name on input and in outputs; trainer.json holds None
 
 # samples per forward-only encoder pass: at the acceptance geometry a 64-query
 # chunk keeps the block kernel's MLP activations near 1 MiB, where a whole
@@ -92,10 +111,11 @@ def preset(name: str) -> Hyperparams:
 
 
 def check_variant(variant) -> str | None:
-    """Accept a single variant name or None."""
-    if variant is not None and variant not in VARIANTS:
+    """The ``VARIANT_TABLE`` key of a variant name; ``FULL`` is None."""
+    key = None if variant == FULL else variant
+    if not (key is None or isinstance(key, str) and key in VARIANT_TABLE):
         raise TrainerError(f"unknown variant '{variant}'")
-    return variant
+    return key
 
 
 @dataclass
@@ -113,7 +133,7 @@ class TrainerState:
 
 def _empty_books(config: EncoderConfig, variant) -> pr.Codebooks:
     return pr.Codebooks(d=config.d, L=config.L, d_prime=config.d_prime,
-                        prefix_tokens=PREFIX_TOKENS if variant == "prefix_tuning" else 0)
+                        prefix_tokens=VARIANT_TABLE[variant].prefix_tokens)
 
 
 def new_state(config: EncoderConfig, seed: int, variant=None) -> TrainerState:
@@ -263,7 +283,7 @@ def _conditioned_cls(state: TrainerState, tokens, sel: pr.Selection, cids=(),
     cond = ad.take(q_table, rows)
     if books.prefix_tokens:
         return vit_forward(state.stack, tokens=tokens, prefix=cond)
-    if state.variant != "no_conf_mod":
+    if VARIANT_TABLE[state.variant].conf_mod:
         sim = sel.sim
         if params is not None:
             a_table, _ = _class_rows(books.class_ids, books.A, cids, params["A"])
@@ -330,7 +350,8 @@ def train_task(state: TrainerState, task: Task, hp: Hyperparams,
             f"task {task.task_id} out of order (expected {state.current_task + 1})")
     if len(task.train_y) == 0:
         raise TrainerError(f"task {task.task_id} has no training samples")
-    hp = replace(hp, M=1) if state.variant == "unimodal" else hp
+    switches = VARIANT_TABLE[state.variant]
+    hp = replace(hp, M=switches.M) if switches.M else hp
     rng = Rng(state.stack.seed).child("trainer").child(("task", task.task_id))
     _register_names(state, task.class_ids, class_names)
     pr.extend_codebooks(state.books, task.class_ids, rng.child("init"), task.task_id)
@@ -339,23 +360,21 @@ def train_task(state: TrainerState, task: Task, hp: Hyperparams,
     qs.bind(state)
     z_train = qs.z
 
-    if state.variant == "no_first_level":
-        # first-level prompts fixed at a hand-crafted context, never trained
+    if switches.first_level:
+        _stage1(state, task, hp, z_train, rng.child("stage1"))
+        if switches.replay:
+            _fit_bank(state.bank1, z_train, task.train_y, task.class_ids, hp.M, rng, "mog1")
+            _stage1_replay(state, task, hp, rng.child("replay1"))
+    else:
         ctx = _handcrafted_context(state.stack.config.d)
         for cid in task.class_ids:
             state.books.p[cid] = ctx.copy()
-    else:
-        _stage1(state, task, hp, z_train, rng.child("stage1"))
-        if state.variant != "no_replay":
-            _fit_bank(state.bank1, z_train, task.train_y, task.class_ids,
-                      hp.M, rng, "mog1")
-            _stage1_replay(state, task, hp, rng.child("replay1"))
     # cache keys of the (now final) current prompts
     state.books.keys = pr.compute_keys(state.books, state.stack, state.class_embeds)
 
-    if state.variant != "first_level_only":
+    if switches.second_level:
         _stage2(state, task, hp, qs.raw, z_train, rng.child("stage2"))
-        if state.variant != "no_replay":
+        if switches.replay:
             _fit_bank(state.bank2, qs.features(state, qs.select(state)), task.train_y,
                       task.class_ids, hp.M, rng, "mog2")
             _stage2_replay(state, hp, rng.child("replay2"))
@@ -471,14 +490,13 @@ def predict_batch(state: TrainerState, x):
     qs.bind(state)
     # the encoders run in chunks; selection and the heads see the whole batch
     sel = qs.select(state)
-    if state.variant == "first_level_only":
-        # classify straight from the key posteriors
-        logits = sel.sims / state.stack.config.tau
-        order = sorted(state.books.keys)
-    else:
+    if VARIANT_TABLE[state.variant].second_level:
         feats = qs.features(state, sel)
         logits = feats @ state.heads.W + state.heads.b
         order = state.heads.classes
+    else:
+        logits = sel.sims / state.stack.config.tau
+        order = sorted(state.books.keys)
     return np.take(order, np.argmax(logits, axis=1)).tolist(), logits, sel.class_id.tolist()
 
 
@@ -548,7 +566,7 @@ def _read_meta(path) -> dict:
                           f"only an older checkpoint of a synthetic stream is read")
     if meta["seed"] < 0:
         raise FormatError(f"{path}: key 'seed' must be >= 0, got {meta['seed']}")
-    if meta["variant"] is not None and meta["variant"] not in VARIANTS:
+    if meta["variant"] not in VARIANT_TABLE:
         raise FormatError(f"{path}: key 'variant' names no variant: {meta['variant']!r}")
     for k, v in meta["class_names"].items():
         if not _CLASS_ID.fullmatch(k) or type(v) is not str or not v:
@@ -576,9 +594,9 @@ def load_checkpoint(out_dir) -> TrainerState:
     if sorted(meta["class_names"]) != books.class_ids:
         raise FormatError(f"{path('trainer.json')}: key 'class_names' must name exactly "
                           f"the classes {books.class_ids}")
-    parts = {"books": books,  # first_level_only trains no heads
-             "heads": ls.load_heads(path("heads.bin"), ls.ClassifierHeads(config.d_prime),
-                                    [] if meta["variant"] == "first_level_only" else books.groups())}
+    groups = books.groups() if VARIANT_TABLE[meta["variant"]].second_level else []
+    parts = {"books": books,
+             "heads": ls.load_heads(path("heads.bin"), ls.ClassifierHeads(config.d_prime), groups)}
     # bank 1 models the E_vis query features, bank 2 the conditioned CLS features
     for attr, dim in (("bank1", config.d), ("bank2", config.d_prime)):
         if os.path.exists(path(f"{attr}.bin")):

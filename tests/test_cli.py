@@ -179,6 +179,12 @@ def test_every_key_in_readme_and_help(capsys):
         assert re.search(rf"^ +{name} ", help_text, re.M), name
     for name in tr.PRESETS:
         assert f"`{name}`" in key_list, name
+    # --variant's help and README's ablation table name every variant
+    variant_help = " ".join(help_text[help_text.rindex("--variant VARIANT"):].split())
+    ablation = readme[readme.index("## Ablation variants"):]
+    for name in (tr.FULL,) + tr.VARIANTS:
+        assert name in variant_help.split("--preset")[0], name
+        assert f"`{name}`" in ablation, name
 
 
 def test_unknown_subcommand_nonzero():
@@ -242,6 +248,41 @@ def test_run_writes_reports_and_is_deterministic(tmp_path):
     assert "task1_precision" in summary
 
 
+@pytest.mark.parametrize("flag", ["--out", "--variant", "--preset"])
+def test_run_empty_flag_prints_error(tmp_path, capsys, monkeypatch, flag):
+    cfg = write_cfg(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["run", cfg, "--seed", "3", "--checkpoint", flag, ""]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{flag} must not be empty" in err
+    assert os.listdir(tmp_path) == ["exp.cfg"]
+
+
+def _files(root) -> dict:
+    """path relative to ``root`` -> bytes of every file under it."""
+    out = {}
+    for dirpath, _, names in os.walk(root):
+        for name in names:
+            with open(os.path.join(dirpath, name), "rb") as f:
+                out[os.path.relpath(os.path.join(dirpath, name), root)] = f.read()
+    return out
+
+
+def test_full_names_the_full_method(tmp_path):
+    # "full", as the flag or the config key, writes what a run without it writes
+    runs = {"none": (write_cfg(tmp_path), []),
+            "flag": (write_cfg(tmp_path), ["--variant", "full"]),
+            "key": (write_cfg(tmp_path, name="full.cfg", variant="full"), [])}
+    for name, (cfg, flags) in runs.items():
+        assert cli.main(["run", cfg, "--out", str(tmp_path / name), "--seed", "3",
+                         "--checkpoint"] + flags) == 0
+    want = _files(tmp_path / "none")
+    assert json.loads(want[os.path.join("ckpt_seed3", "trainer.json")])["variant"] is None
+    assert json.loads(want["summary.json"])["variant"] == "full"
+    assert _files(tmp_path / "flag") == want
+    assert _files(tmp_path / "key") == want
+
+
 def test_run_seed_flag_overrides(tmp_path):
     cfg = write_cfg(tmp_path)
     out = str(tmp_path / "single")
@@ -300,9 +341,9 @@ def test_ablate_writes_one_row_per_variant(tmp_path):
         rows = list(csv.reader(f))
     assert rows[0][:3] == ["variant", "faa_mean", "faa_std"]
     names = [r[0] for r in rows[1:]]
-    assert names[0] == "full" and set(names[1:]) == set(
-        ["first_level_only", "no_first_level", "prefix_tuning",
-         "no_replay", "unimodal", "no_conf_mod"])
+    assert names == [v or tr.FULL for v in tr.VARIANT_TABLE] == [
+        "full", "first_level_only", "no_first_level", "prefix_tuning",
+        "no_replay", "unimodal", "no_conf_mod"]
     for row in rows[1:]:
         assert 0.0 <= float(row[1]) <= 1.0
 

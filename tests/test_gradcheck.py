@@ -126,8 +126,9 @@ def test_every_node_is_built_inside_a_differentiated_function(monkeypatch):
     worst, stage2 = cli.gradcheck_suite(n_graphs=10)
     assert outside == []
     assert worst < 1e-4 and stage2 < 1e-3
-    # one batch per variant, whose queries select both current classes and a past one
-    assert selected == [[1, 1, 0]] * len(cli.STAGE2_VARIANTS)
+    # one batch per variant with a second level, whose queries select both
+    # current classes and a past one
+    assert selected == [[1, 1, 0]] * sum(v.second_level for v in tr.VARIANT_TABLE.values())
 
 
 def test_stage2_loss_reads_current_rows_from_params():

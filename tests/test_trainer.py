@@ -1,4 +1,6 @@
+import ast
 import hashlib
+import inspect
 import json
 import os
 import resource
@@ -78,9 +80,27 @@ def test_hyperparams_validation():
 
 def test_variant_validation():
     assert tr.check_variant(None) is None
+    assert tr.check_variant("full") is None
     assert tr.check_variant("no_replay") == "no_replay"
-    with pytest.raises(tr.TrainerError):
-        tr.check_variant("turbo")
+    assert tr.new_state(CFG, seed=0, variant="full").variant is None
+    for bad in ("turbo", "", ["no_replay"], {}, 3):
+        with pytest.raises(tr.TrainerError, match="unknown variant"):
+            tr.check_variant(bad)
+        with pytest.raises(tr.TrainerError, match="unknown variant"):
+            tr.new_state(CFG, seed=0, variant=bad)
+
+
+def test_variant_names_occur_only_in_the_table():
+    # what a variant runs is read from its row, never decided by its name
+    tree = ast.parse(inspect.getsource(tr))
+    (table,) = [node for node in ast.walk(tree) if isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "VARIANT_TABLE" for t in node.targets)]
+    inside = {id(node) for node in ast.walk(table)}
+    stray = [(node.lineno, node.value) for node in ast.walk(tree)
+             if isinstance(node, ast.Constant) and node.value in tr.VARIANTS
+             and id(node) not in inside]
+    assert stray == []
+    assert list(tr.VARIANT_TABLE)[0] is None and tr.VARIANTS == tuple(tr.VARIANT_TABLE)[1:]
 
 
 def test_single_task_separable_accuracy():
@@ -584,9 +604,10 @@ def test_no_first_level_uses_static_keys():
 def test_prefix_tuning_variant_shapes():
     stream = small_stream(num_tasks=2)
     state = run_stream(stream, variant="prefix_tuning")
-    assert state.books.prefix_tokens == tr.PREFIX_TOKENS
+    tokens = tr.VARIANT_TABLE["prefix_tuning"].prefix_tokens
+    assert tokens > 0 and state.books.prefix_tokens == tokens
     for cid in state.books.class_ids:
-        assert state.books.Q[cid].shape == (CFG.L, 2 * tr.PREFIX_TOKENS, CFG.d_prime)
+        assert state.books.Q[cid].shape == (CFG.L, 2 * tokens, CFG.d_prime)
     preds, _, _ = tr.predict_batch(state, stream.tasks[0].test_x)
     assert len(preds) == len(stream.tasks[0].test_y)
 
